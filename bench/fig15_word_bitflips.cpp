@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
       << "SECDED corrects only the 1-flip words and merely detects the\n"
          "2-flip words; everything beyond can be silently miscorrected.\n"
          "Containing the worst word would need (7,4)-Hamming-class codes\n"
-         "at 75% storage overhead (see ecc::Hamming74).\n";
+         "at 75% storage overhead (3 parity bits per 4 data bits).\n";
   return 0;
 }

@@ -75,16 +75,14 @@ BENCHMARK(BM_HammerFastPath)->Arg(1000)->Arg(100000);
 
 void BM_SenseDisturbedRow(benchmark::State& state) {
   // The dominant cost of every probe: reading a victim whose ledger holds
-  // dose. state.range(0) selects the scan mode: 0 = uncached (a whole-row
-  // threshold scan per sense), 1 = threshold cache attached (the first
+  // dose. state.range(0) selects the scan: 0 = uncached (a whole-row
+  // bitplane scan per sense), 1 = threshold cache attached (the first
   // sense builds the row summary, every later sense is a warm hit driving
-  // the candidate-prefix scan). state.range(1) = 1 forces the per-cell
-  // scalar reference path instead of the word-parallel bitplane scan.
+  // the candidate-prefix scan).
   auto c = config();
   if (state.range(0) != 0) {
     c.threshold_cache = std::make_shared<disturb::ThresholdCache>();
   }
-  c.scalar_sense = state.range(1) != 0;
   dram::Stack stack(std::move(c));
   bender::Executor executor(&stack);
   const std::array<int, 2> rows = {4299, 4301};
@@ -100,11 +98,7 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
     benchmark::DoNotOptimize(executor.run(std::move(read).build()));
   }
 }
-BENCHMARK(BM_SenseDisturbedRow)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->ArgNames({"cached", "scalar"});
+BENCHMARK(BM_SenseDisturbedRow)->Arg(0)->Arg(1)->ArgName("cached");
 
 void BM_RowSummaryBuild(benchmark::State& state) {
   // Cold-miss cost of the threshold cache: one full per-cell scan plus the

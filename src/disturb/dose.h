@@ -40,24 +40,16 @@ struct DoseEpoch {
   }
 };
 
-/// The dose epochs of one victim row. Appends merge with the previous epoch
-/// when the (distance, aggressor version, unit dose) triple is unchanged —
-/// the common case during hammering.
+/// The dose epochs of one victim row. Appends merge into an existing epoch
+/// with the same (distance, aggressor version, unit dose) triple — the
+/// common case during hammering.
 class DoseLedger {
  public:
   void add(int distance, std::uint64_t aggressor_version,
            const dram::RowBits& aggressor_bits, double unit,
            std::uint64_t count = 1) {
-    if (!epochs_.empty()) {
-      auto& last = epochs_.back();
-      if (last.distance == distance &&
-          last.aggressor_version == aggressor_version && last.unit == unit) {
-        last.count += count;
-        return;
-      }
-    }
-    // A new epoch for the same (distance, version, unit) that is not the
-    // most recent one can still merge: scan backwards (lists stay tiny).
+    // Merge into the newest epoch with the same (distance, version, unit);
+    // the backward scan hits the most recent epoch first (lists stay tiny).
     for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {
       if (it->distance == distance &&
           it->aggressor_version == aggressor_version && it->unit == unit) {

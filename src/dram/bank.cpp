@@ -26,15 +26,10 @@ constexpr double kRetentionFloorSeconds = 0.033;
 constexpr double kThresholdScanSigma = 6.0;
 
 /// Candidate-prefix scans that would visit more than this many cells
-/// switch to the word-parallel bitplane scan instead (bitplane mode only;
-/// the flip set is identical either way). The crossover is observable via
-/// the device.sense_cells_visited / device.sense_word_ops counters.
+/// switch to the word-parallel bitplane scan instead (the flip set is
+/// identical either way). The crossover is observable via the
+/// device.sense_cells_visited / device.sense_word_ops counters.
 constexpr std::size_t kCandidateScanLimit = 512;
-
-/// Dose ledgers with this many epochs or more fall back to the per-cell
-/// scan: the bitplane path encodes one class bit per epoch (plus intra) in
-/// a 32-bit key. Real hammer workloads merge into a handful of epochs.
-constexpr std::size_t kMaxBitplaneEpochs = 31;
 
 /// Memoized per-dose flip probabilities (one normal_cdf per population).
 struct DoseProb {
@@ -49,14 +44,15 @@ struct DoseProb {
 /// Per-bank scratch for the sense/hammer hot paths; lazily allocated so
 /// only banks that actually sense disturbed rows pay for it.
 struct Bank::SenseArena {
-  /// One mask/class-key group of the per-word dose-class split.
+  /// One mask group of the per-word dose-class split: cells of one
+  /// intra-row coupling half that share the running dose so far.
   struct Group {
     std::uint64_t mask;
-    std::uint32_t key;
+    double dose;
   };
-  /// One materialized dose class: its key and memoized probabilities.
+  /// One materialized dose class: its dose and memoized probabilities.
   struct ClassEntry {
-    std::uint32_t key;
+    double dose;
     DoseProb p;
   };
 
@@ -71,6 +67,8 @@ struct Bank::SenseArena {
   std::array<Group, 64> group_a{};
   std::array<Group, 64> group_b{};
   std::vector<ClassEntry> classes;
+  /// Per-epoch dose terms, indexed [intra * 2 + same] (one sense's ledger).
+  std::vector<std::array<double, 4>> epoch_terms;
 
   // Per-sense DoseProb ring memo: proper round-robin eviction once full
   // (the old fixed-slot scheme silently thrashed slot 15 forever).
@@ -86,14 +84,13 @@ struct Bank::SenseArena {
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
            const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache* threshold_cache, bool scalar_sense)
+           disturb::BankThresholdCache* threshold_cache)
     : address_(address),
       fault_(fault_model),
       env_(env),
       timing_(timing),
       checker_(timing),
-      threshold_cache_(threshold_cache),
-      scalar_sense_(scalar_sense) {
+      threshold_cache_(threshold_cache) {
   validate(address_);
   if (fault_ == nullptr || env_ == nullptr) {
     throw std::invalid_argument("Bank: fault model and environment required");
@@ -156,6 +153,17 @@ Bank::RowState* Bank::find_state(int physical_row) {
 const disturb::DoseLedger* Bank::ledger(int physical_row) const {
   const auto it = rows_.find(physical_row);
   return it == rows_.end() ? nullptr : &it->second.ledger;
+}
+
+const RowBits* Bank::stored_bits(int physical_row) const {
+  const auto it = rows_.find(physical_row);
+  return it == rows_.end() ? nullptr : &it->second.bits;
+}
+
+std::optional<Cycle> Bank::last_restore(int physical_row) const {
+  const auto it = rows_.find(physical_row);
+  if (it == rows_.end()) return std::nullopt;
+  return it->second.last_restore;
 }
 
 std::size_t Bank::push_checkpoint() {
@@ -350,40 +358,39 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
 
     const auto& epochs = row.ledger.epochs();
     const std::size_t n_epochs = epochs.size();
-    // Bitplane scan needs one class-key bit per epoch (plus intra) in a
-    // 32-bit key; oversized ledgers take the per-cell path instead. The
-    // choice is a pure function of device state, so flips AND counters
-    // stay deterministic per mode.
-    const bool bitplane_ok = !scalar_sense_ && n_epochs < kMaxBitplaneEpochs;
 
     // Word-parallel scan over the whole row: per-cell predicates become
     // 64-wide mask operations, per-cell dose folds collapse into a handful
     // of dose classes per word, and flips apply as one XOR per word. The
     // accessors abstract where per-cell uniforms/memberships come from (a
     // cached summary, or lazy hashes off hoisted row prefixes); either way
-    // the values are bit-identical to the per-cell paths.
+    // the values are bit-identical to the per-cell fault-model hashes.
     auto bitplane_scan = [&](const std::uint64_t* true_plane,
                              const std::uint64_t* leaky_plane,
                              auto&& cell_u_at, auto&& retention_u_at,
                              auto&& outlier_at, auto&& weak_at) {
       const std::uint64_t* sw = snapshot.words().data();
-      auto class_probs = [&](std::uint32_t key) -> DoseProb {
-        for (const auto& c : a.classes) {
-          if (c.key == key) return c.p;
-        }
-        // Term-by-term the same fold as the per-cell loop; coupling
-        // depends only on victim/aggressor equality, so coupling(true,
-        // same, intra) yields the identical double.
-        const bool intra = ((key >> n_epochs) & 1u) != 0;
-        double dose = 0.0;
+      // Term-by-term the same fold as the per-cell reference: coupling
+      // depends only on victim/aggressor equality, so coupling(true, same,
+      // intra) yields the identical double, and each group adds its terms
+      // in epoch order starting from 0.0.
+      if (check_disturb) {
+        a.epoch_terms.resize(n_epochs);
         for (std::size_t ei = 0; ei < n_epochs; ++ei) {
           const auto& e = epochs[ei];
-          dose += e.dose() * fault_->distance_factor(e.distance) *
-                  fault_->coupling(true, ((key >> ei) & 1u) != 0, intra);
+          for (int k = 0; k < 4; ++k) {
+            a.epoch_terms[ei][static_cast<std::size_t>(k)] =
+                e.dose() * fault_->distance_factor(e.distance) *
+                fault_->coupling(true, (k & 1) != 0, (k & 2) != 0);
+          }
         }
-        dose *= temp_vuln;
-        const DoseProb p = flip_probabilities(dose);
-        a.classes.push_back({key, p});
+      }
+      auto class_probs = [&](double dose) -> DoseProb {
+        for (const auto& c : a.classes) {
+          if (c.dose == dose) return c.p;
+        }
+        const DoseProb p = flip_probabilities(dose * temp_vuln);
+        a.classes.push_back({dose, p});
         return p;
       };
 
@@ -415,7 +422,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
           const std::uint64_t cand = charged & ~flips;
           if (cand != 0) {
             // Neighbour planes with cross-word carries; edge cells borrow
-            // their own value (differs = 0), matching the per-cell scan.
+            // their own value (differs = 0), matching the per-cell model.
             std::uint64_t left = v << 1;
             left |= w > 0 ? sw[wi - 1] >> 63 : v & 1ull;
             std::uint64_t right = v >> 1;
@@ -424,68 +431,62 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
                      << 63;
             const std::uint64_t intra = (v ^ left) | (v ^ right);
 
-            // Split the word's cells into dose classes: key bit ei =
-            // "victim bit equals epoch ei's aggressor bit", top bit =
-            // intra-row coupling. Non-empty groups partition 64 bits, so
-            // at most 64 exist at any stage.
-            SenseArena::Group* cur = a.group_a.data();
-            SenseArena::Group* nxt = a.group_b.data();
-            cur[0] = {cand, 0};
-            int n_cur = 1;
-            for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-              const std::uint64_t same =
-                  ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
-              int n_nxt = 0;
-              for (int g = 0; g < n_cur; ++g) {
-                const std::uint64_t m1 = cur[g].mask & same;
-                const std::uint64_t m0 = cur[g].mask & ~same;
-                if (m1 != 0) {
-                  nxt[n_nxt++] = {m1, cur[g].key | (1u << ei)};
-                }
-                if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].key};
-              }
-              std::swap(cur, nxt);
-              n_cur = n_nxt;
-            }
-            {
-              const std::uint32_t intra_key =
-                  1u << static_cast<std::uint32_t>(n_epochs);
-              int n_nxt = 0;
-              for (int g = 0; g < n_cur; ++g) {
-                const std::uint64_t m1 = cur[g].mask & intra;
-                const std::uint64_t m0 = cur[g].mask & ~intra;
-                if (m1 != 0) nxt[n_nxt++] = {m1, cur[g].key | intra_key};
-                if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].key};
-              }
-              std::swap(cur, nxt);
-              n_cur = n_nxt;
-            }
+            // Split the word's cells into dose classes: once on intra-row
+            // coupling (it selects each epoch's term pair), then per half
+            // once per epoch on "victim bit equals the aggressor bit",
+            // each group adding that epoch's term to its running dose.
+            // Non-empty groups partition 64 bits, so at most 64 exist at
+            // any stage.
             counters_.sense_word_ops += n_epochs + 1;
-
-            for (int g = 0; g < n_cur; ++g) {
-              const DoseProb p = class_probs(cur[g].key);
-              const double p_max =
-                  std::max({p.outlier_probability, p.weak_probability,
-                            p.bulk_probability});
-              if (p_max <= 0.0) continue;
-              std::uint64_t m = cur[g].mask;
-              counters_.sense_cells_visited +=
-                  static_cast<std::uint64_t>(std::popcount(m));
-              while (m != 0) {
-                const int b = std::countr_zero(m);
-                m &= m - 1;
-                const int bit = w * 64 + b;
-                const double u = cell_u_at(bit);
-                // Sound screen: every population's probability <= p_max.
-                if (u > p_max) continue;
-                double probability = p.bulk_probability;
-                if (outlier_at(bit)) {
-                  probability = p.outlier_probability;
-                } else if (weak_at(bit)) {
-                  probability = p.weak_probability;
+            for (const bool in_intra : {false, true}) {
+              const std::uint64_t half = cand & (in_intra ? intra : ~intra);
+              if (half == 0) continue;
+              const std::size_t t = in_intra ? 2 : 0;
+              SenseArena::Group* cur = a.group_a.data();
+              SenseArena::Group* nxt = a.group_b.data();
+              cur[0] = {half, 0.0};
+              int n_cur = 1;
+              for (std::size_t ei = 0; ei < n_epochs; ++ei) {
+                const std::uint64_t same =
+                    ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
+                const double term_diff = a.epoch_terms[ei][t];
+                const double term_same = a.epoch_terms[ei][t + 1];
+                int n_nxt = 0;
+                for (int g = 0; g < n_cur; ++g) {
+                  const std::uint64_t m1 = cur[g].mask & same;
+                  const std::uint64_t m0 = cur[g].mask & ~same;
+                  if (m1 != 0) nxt[n_nxt++] = {m1, cur[g].dose + term_same};
+                  if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].dose + term_diff};
                 }
-                if (probability > 0.0 && u <= probability) {
-                  flips |= 1ull << b;
+                std::swap(cur, nxt);
+                n_cur = n_nxt;
+              }
+
+              for (int g = 0; g < n_cur; ++g) {
+                const DoseProb p = class_probs(cur[g].dose);
+                const double p_max =
+                    std::max({p.outlier_probability, p.weak_probability,
+                              p.bulk_probability});
+                if (p_max <= 0.0) continue;
+                std::uint64_t m = cur[g].mask;
+                counters_.sense_cells_visited +=
+                    static_cast<std::uint64_t>(std::popcount(m));
+                while (m != 0) {
+                  const int b = std::countr_zero(m);
+                  m &= m - 1;
+                  const int bit = w * 64 + b;
+                  const double u = cell_u_at(bit);
+                  // Sound screen: every population's probability <= p_max.
+                  if (u > p_max) continue;
+                  double probability = p.bulk_probability;
+                  if (outlier_at(bit)) {
+                    probability = p.outlier_probability;
+                  } else if (weak_at(bit)) {
+                    probability = p.weak_probability;
+                  }
+                  if (probability > 0.0 && u <= probability) {
+                    flips |= 1ull << b;
+                  }
                 }
               }
             }
@@ -493,8 +494,8 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         }
 
         if (flips != 0) {
-          // Flips only discharge charged cells, so the XOR is exactly the
-          // per-bit set(bit, !value) of the per-cell paths.
+          // Flips only discharge charged cells, so the XOR is exactly a
+          // per-bit set(bit, !value).
           row.bits.words()[wi] ^= flips;
           counters_.bitflips_materialized +=
               static_cast<std::uint64_t>(std::popcount(flips));
@@ -514,7 +515,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
       // Candidate-driven scan: per population, only the sorted-by-uniform
       // prefix that the conservative bounds cannot rule out is visited;
       // every visited cell is then decided by the exact per-cell
-      // expressions of the full scan below, with the cached uniforms and
+      // expressions of the sense model, with the cached uniforms and
       // flags standing in (verbatim) for the fault-model hashes.
       auto& candidates = a.candidates;
       candidates.clear();
@@ -543,7 +544,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         // probability is bounded by its population's CDF at max_dose. The
         // bound dose is inflated by 1e-9 to absorb the ulp-level
         // difference between per-term and post-sum coupling rounding,
-        // keeping the prefix a strict superset of the full scan's flips.
+        // keeping the prefix a strict superset of the exact flip set.
         const double dose_bound = max_dose * (1.0 + 1e-9);
         const auto prob_bound = [&](double median, double sigma) {
           return disturb::FaultModel::normal_cdf(
@@ -564,12 +565,9 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         }
       }
       // A huge candidate prefix means the bounds ruled little out: the
-      // word-parallel scan beats visiting cells one by one. The crossover
-      // only exists in bitplane mode; flips are identical either way.
-      const std::size_t scan_limit =
-          bitplane_ok ? kCandidateScanLimit
-                      : std::numeric_limits<std::size_t>::max();
-      if (candidates.size() <= scan_limit) {
+      // word-parallel scan beats visiting cells one by one. Flips are
+      // identical either way.
+      if (candidates.size() <= kCandidateScanLimit) {
         scanned = true;
         std::sort(candidates.begin(), candidates.end());
         candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -626,7 +624,7 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
         }
       }
     }
-    if (!scanned && bitplane_ok && summary != nullptr) {
+    if (!scanned && summary != nullptr) {
       // Bitplane scan off the cached summary's planes and uniform arrays.
       bitplane_scan(
           summary->true_plane.data(), summary->leaky_plane.data(),
@@ -647,10 +645,10 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
                      (bit & 63)) &
                     1u) != 0;
           });
-    } else if (!scanned && bitplane_ok) {
+    } else if (!scanned) {
       // No cached summary: hoist the row's hash prefixes once, fill only
       // the planes the masks need, and hash uniforms lazily per visited
-      // cell — identical values to the full scan's per-cell hash calls.
+      // cell — identical values to the per-cell fault-model hash calls.
       const auto& params = fault_->params();
       const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
       disturb::FaultModel::fill_membership_plane(
@@ -684,59 +682,6 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
             return disturb::FaultModel::below_threshold(prefixes.weak, bit,
                                                         weak_threshold);
           });
-    } else if (!scanned) {
-      counters_.sense_cells_visited += static_cast<std::uint64_t>(kRowBits);
-      for (int bit = 0; bit < kRowBits; ++bit) {
-        const bool value = snapshot.get(bit);
-
-        bool flip = false;
-        if (check_retention) {
-          const bool leaky =
-              fault_->is_leaky_cell(address_, physical_row, bit);
-          const double u_max = leaky ? leaky_u_max : normal_u_max;
-          if (u_max > 0.0 &&
-              fault_->retention_uniform(address_, physical_row, bit, leaky) <=
-                  u_max &&
-              fault_->is_charged(address_, physical_row, bit, value)) {
-            flip = true;
-          }
-        }
-        if (!flip && check_disturb &&
-            fault_->is_charged(address_, physical_row, bit, value)) {
-          const bool left = bit > 0 ? snapshot.get(bit - 1) : value;
-          const bool right =
-              bit + 1 < kRowBits ? snapshot.get(bit + 1) : value;
-          const bool intra_differs = (left != value) || (right != value);
-          double dose = 0.0;
-          for (const auto& e : epochs) {
-            dose += e.dose() * fault_->distance_factor(e.distance) *
-                    fault_->coupling(value, e.aggressor_bits.get(bit),
-                                     intra_differs);
-          }
-          dose *= temp_vuln;
-          const DoseProb& p = flip_probabilities(dose);
-          if (p.outlier_probability > 0.0 || p.weak_probability > 0.0 ||
-              p.bulk_probability > 0.0) {
-            double probability = p.bulk_probability;
-            if (fault_->is_outlier_cell(address_, physical_row, bit)) {
-              probability = p.outlier_probability;
-            } else if (fault_->is_weak_cell(address_, physical_row, bit,
-                                            ctx.weak_density)) {
-              probability = p.weak_probability;
-            }
-            if (probability > 0.0 &&
-                fault_->cell_threshold_uniform(address_, physical_row, bit) <=
-                    probability) {
-              flip = true;
-            }
-          }
-        }
-        if (flip) {
-          row.bits.set(bit, !value);
-          ++counters_.bitflips_materialized;
-          changed = true;
-        }
-      }
     }
     if (changed) ++row.version;
   }

@@ -43,15 +43,14 @@ struct BankCounters {
   std::uint64_t hammer_dedup_hits = 0;
   /// DoseProb memo entries overwritten after the per-sense ring filled up
   /// (each eviction re-pays three normal_cdf calls on the next lookup of
-  /// the evicted dose). Telemetry: depends on the scan mode.
+  /// the evicted dose). Telemetry: depends on which scan ran.
   std::uint64_t dose_memo_evictions = 0;
   /// 64-bit words processed by the word-parallel stages of bitplane senses
   /// (plane/uniform fills and the per-word class-split scan).
   std::uint64_t sense_word_ops = 0;
-  /// Cells examined individually by a sense: candidate-prefix entries,
-  /// scalar full-scan cells, and per-bit work inside bitplane scans. The
-  /// ratio to sense_word_ops makes the candidate-scan-vs-bitplane
-  /// crossover observable per campaign.
+  /// Cells examined individually by a sense: candidate-prefix entries and
+  /// per-bit work inside bitplane scans. The ratio to sense_word_ops makes
+  /// the candidate-scan-vs-bitplane crossover observable per campaign.
   std::uint64_t sense_cells_visited = 0;
 };
 
@@ -68,14 +67,13 @@ class Bank {
   /// `threshold_cache` (optional) memoizes per-row cell summaries so senses
   /// of cached rows skip the per-cell hash scan; results are bit-identical
   /// with and without it. The cache outlives the bank (it is shared across
-  /// power cycles) and must only be used from the bank's thread.
-  /// `scalar_sense` selects the per-cell reference sense path instead of
-  /// the word-parallel bitplane path; flips are bit-identical either way
-  /// (tests/device_bitplane_test.cpp).
+  /// power cycles) and must only be used from the bank's thread. Senses
+  /// take a candidate-prefix scan when a cached summary bounds the work to
+  /// a few cells and the word-parallel bitplane scan otherwise; both match
+  /// the per-cell reference in tests/device_bitplane_test.cpp bit for bit.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
-       disturb::BankThresholdCache* threshold_cache = nullptr,
-       bool scalar_sense = false);
+       disturb::BankThresholdCache* threshold_cache = nullptr);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -173,6 +171,12 @@ class Bank {
   /// Dose ledger of a row, if it has state (tests/diagnostics only).
   [[nodiscard]] const disturb::DoseLedger* ledger(int physical_row) const;
 
+  /// Stored (not yet sensed) contents and last restore cycle of a row, if
+  /// it has state (tests/diagnostics only). With ledger() this is all the
+  /// next sense of the row reads besides the environment.
+  [[nodiscard]] const RowBits* stored_bits(int physical_row) const;
+  [[nodiscard]] std::optional<Cycle> last_restore(int physical_row) const;
+
  private:
   struct RowState {
     RowBits bits;
@@ -248,7 +252,6 @@ class Bank {
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;
   disturb::BankThresholdCache* threshold_cache_ = nullptr;
-  bool scalar_sense_ = false;
   std::unique_ptr<SenseArena> arena_;
 };
 

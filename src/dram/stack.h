@@ -31,13 +31,9 @@ struct StackConfig {
   /// Optional per-bank row threshold cache (see disturb/threshold_cache.h).
   /// Shared so it survives stack rebuilds (power cycles): the cached
   /// summaries are pure functions of the disturb seed, never of device
-  /// state. Null = senses use the uncached full scan. Must only be shared
-  /// between stacks driven from the same thread.
+  /// state. Null = senses use the uncached bitplane scan. Must only be
+  /// shared between stacks driven from the same thread.
   std::shared_ptr<disturb::ThresholdCache> threshold_cache;
-  /// Force the per-cell reference sense path instead of the word-parallel
-  /// bitplane path (differential testing / perf comparison; flips and
-  /// campaign artifacts are byte-identical either way).
-  bool scalar_sense = false;
 };
 
 /// Counters exposed for the ECC analysis of Sec. 8 (Fig. 15).

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "ecc/hamming74.h"
 #include "ecc/secded.h"
 #include "util/rng.h"
 
@@ -109,37 +108,6 @@ TEST(Secded, TripleErrorsEscapeTheGuarantee) {
     }
   }
   EXPECT_GT(miscorrected, 0);
-}
-
-TEST(Hamming74, RoundTripAllNibbles) {
-  for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
-    const auto codeword = Hamming74::encode(nibble);
-    EXPECT_LT(codeword, 128);
-    EXPECT_EQ(Hamming74::decode(codeword), nibble);
-    EXPECT_FALSE(Hamming74::had_error(codeword));
-  }
-}
-
-/// Property: every single-bit error in every codeword is corrected.
-class Hamming74SingleBitTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(Hamming74SingleBitTest, CorrectsSingleError) {
-  const int bit = GetParam();
-  for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
-    const auto corrupted = static_cast<std::uint8_t>(
-        Hamming74::encode(nibble) ^ (1u << bit));
-    EXPECT_EQ(Hamming74::decode(corrupted), nibble)
-        << "nibble " << int(nibble) << " bit " << bit;
-    EXPECT_TRUE(Hamming74::had_error(corrupted));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBits, Hamming74SingleBitTest,
-                         ::testing::Range(0, 7));
-
-TEST(Hamming74, StorageOverheadMatchesPaperArgument) {
-  // Sec. 8.1: (7,4) Hamming costs 3 parity bits per 4 data bits = 75%.
-  EXPECT_DOUBLE_EQ(3.0 / 4.0, 0.75);
 }
 
 }  // namespace
