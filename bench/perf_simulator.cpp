@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,15 +74,9 @@ BENCHMARK(BM_HammerFastPath)->Arg(1000)->Arg(100000);
 
 void BM_SenseDisturbedRow(benchmark::State& state) {
   // The dominant cost of every probe: reading a victim whose ledger holds
-  // dose. state.range(0) selects the scan: 0 = uncached (a whole-row
-  // bitplane scan per sense), 1 = threshold cache attached (the first
-  // sense builds the row summary, every later sense is a warm hit driving
-  // the candidate-prefix scan).
-  auto c = config();
-  if (state.range(0) != 0) {
-    c.threshold_cache = std::make_shared<disturb::ThresholdCache>();
-  }
-  dram::Stack stack(std::move(c));
+  // dose. The first sense builds the row's threshold summary; every later
+  // sense is a warm hit driving the candidate-prefix scan.
+  dram::Stack stack(config());
   bender::Executor executor(&stack);
   const std::array<int, 2> rows = {4299, 4301};
   for (auto _ : state) {
@@ -98,7 +91,7 @@ void BM_SenseDisturbedRow(benchmark::State& state) {
     benchmark::DoNotOptimize(executor.run(std::move(read).build()));
   }
 }
-BENCHMARK(BM_SenseDisturbedRow)->Arg(0)->Arg(1)->ArgName("cached");
+BENCHMARK(BM_SenseDisturbedRow);
 
 void BM_RowSummaryBuild(benchmark::State& state) {
   // Cold-miss cost of the threshold cache: one full per-cell scan plus the

@@ -76,6 +76,37 @@ void collect_sorted(std::vector<int>& out,
 
 }  // namespace
 
+double min_retention_ref_seconds(const DisturbParams& params,
+                                 std::span<const std::uint64_t> leaky_plane,
+                                 std::span<const double> retention_u) {
+  double min_u_leaky = 2.0;
+  double min_u_normal = 2.0;
+  for (std::size_t i = 0; i < retention_u.size(); ++i) {
+    const double u = retention_u[i];
+    if ((leaky_plane[i >> 6] >> (i & 63)) & 1u) {
+      min_u_leaky = std::min(min_u_leaky, u);
+    } else {
+      min_u_normal = std::min(min_u_normal, u);
+    }
+  }
+  double minimum = std::numeric_limits<double>::max();
+  if (min_u_leaky <= 1.0) {
+    minimum = std::min(
+        minimum, params.leaky_retention_median_s *
+                     std::exp(params.leaky_retention_sigma *
+                              util::inverse_normal_cdf(
+                                  std::max(1e-300, min_u_leaky))));
+  }
+  if (min_u_normal <= 1.0) {
+    minimum = std::min(
+        minimum, params.normal_retention_median_s *
+                     std::exp(params.normal_retention_sigma *
+                              util::inverse_normal_cdf(
+                                  std::max(1e-300, min_u_normal))));
+  }
+  return minimum;
+}
+
 RowThresholdSummary build_row_summary(const FaultModel& model,
                                       const dram::BankAddress& bank,
                                       int physical_row,
@@ -122,19 +153,6 @@ RowThresholdSummary build_row_summary(const FaultModel& model,
     }
   }
 
-  double min_u_leaky = 2.0;
-  double min_u_normal = 2.0;
-  for (int bit = 0; bit < dram::kRowBits; ++bit) {
-    const auto i = static_cast<std::size_t>(bit);
-    const double ru = s.retention_u[i];
-    const bool leaky = (s.leaky_plane[i >> 6] >> (bit & 63)) & 1u;
-    if (leaky) {
-      min_u_leaky = std::min(min_u_leaky, ru);
-    } else {
-      min_u_normal = std::min(min_u_normal, ru);
-    }
-  }
-
   SummaryBuildScratch local;
   SummaryBuildScratch& sc = scratch != nullptr ? *scratch : local;
   collect_sorted(s.outlier_by_u, s.outlier_plane, s.cell_u, sc);
@@ -149,25 +167,8 @@ RowThresholdSummary build_row_summary(const FaultModel& model,
   collect_sorted(s.normal_by_u, s.leaky_plane, s.retention_u, sc,
                  /*complement=*/true);
 
-  // Minimum retention at the reference temperature: the exact expressions
-  // Bank::min_retention_ref_seconds evaluates, over the same minima, so
-  // the cached value is bit-identical to the lazy per-row scan.
-  double minimum = std::numeric_limits<double>::max();
-  if (min_u_leaky <= 1.0) {
-    minimum = std::min(
-        minimum, params.leaky_retention_median_s *
-                     std::exp(params.leaky_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_leaky))));
-  }
-  if (min_u_normal <= 1.0) {
-    minimum = std::min(
-        minimum, params.normal_retention_median_s *
-                     std::exp(params.normal_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_normal))));
-  }
-  s.min_retention_ref_s = minimum;
+  s.min_retention_ref_s =
+      min_retention_ref_seconds(params, s.leaky_plane, s.retention_u);
   return s;
 }
 

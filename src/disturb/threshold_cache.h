@@ -12,9 +12,14 @@
 // threshold is median * exp(sigma * Phi^-1(u)), the sorted order IS the
 // threshold order: the head of the weakest population is the row's HC_first
 // cell, and walking the sorted tail yields the HC_2nd..HC_nth thresholds
-// that BER-vs-hammer-count queries sweep across. The sense path uses the
-// sorted lists to visit only the prefix of cells a conservative dose (or
-// elapsed-time) bound cannot rule out, instead of hashing all 8192 cells.
+// that BER-vs-hammer-count queries sweep across.
+//
+// The summary is the sense path's only source of per-cell parameters
+// (dram/bank.cpp): the candidate-prefix scan visits only the prefix of each
+// sorted list that a conservative dose (or elapsed-time) bound cannot rule
+// out, and the bitplane scan reads the planes and uniform arrays a word at
+// a time. Every dram::Bank therefore has a cache; a Stack built without
+// one creates a private cache.
 //
 // Threading: a cache belongs to one dram::Stack owner and is accessed from
 // a single thread (the parallel campaign runner gives every worker its own
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -46,8 +52,8 @@ struct RowThresholdSummary {
   using BitPlane = std::array<std::uint64_t, kPlaneWords>;
 
   RowContext ctx;
-  /// Minimum cell retention at the reference temperature, seconds
-  /// (bit-identical to Bank's lazy per-row scan).
+  /// Minimum cell retention at the reference temperature, seconds (see
+  /// min_retention_ref_seconds below).
   double min_retention_ref_s = 0.0;
 
   /// Per-cell raw uniforms (verbatim fault-model hash results).
@@ -86,6 +92,15 @@ struct SummaryBuildScratch {
   std::vector<std::pair<std::uint64_t, int>> sorted;
   std::vector<std::uint32_t> bucket_heads;
 };
+
+/// Minimum cell retention of a row at the reference temperature, seconds:
+/// each population's smallest retention uniform (cells selected by
+/// `leaky_plane`) through its lognormal. The one fold behind both the
+/// summary's min_retention_ref_s and dram::Bank's scan of rows whose
+/// summary is not built yet, so the two agree bit for bit.
+[[nodiscard]] double min_retention_ref_seconds(
+    const DisturbParams& params, std::span<const std::uint64_t> leaky_plane,
+    std::span<const double> retention_u);
 
 /// Builds the summary for one row (pure function of the model's seed and
 /// the coordinates; exposed for tests and benchmarks). `scratch` is

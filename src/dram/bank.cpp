@@ -4,10 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "util/rng.h"
 
 namespace hbmrd::dram {
 
@@ -37,6 +34,12 @@ struct DoseProb {
   double outlier_probability;
   double weak_probability;
   double bulk_probability;
+
+  /// The probability of a cell's population (outlier wins over weak).
+  [[nodiscard]] double of(bool outlier, bool weak) const {
+    if (outlier) return outlier_probability;
+    return weak ? weak_probability : bulk_probability;
+  }
 };
 
 }  // namespace
@@ -56,10 +59,9 @@ struct Bank::SenseArena {
     DoseProb p;
   };
 
-  // Planes and uniform rows computed when no cached summary is available.
-  std::array<std::uint64_t, RowBits::kWords> true_plane{};
+  // Leaky plane and retention uniforms of the lazy min-retention scan
+  // (rows whose summary is not built yet).
   std::array<std::uint64_t, RowBits::kWords> leaky_plane{};
-  std::vector<double> cell_u;
   std::vector<double> retention_u;
 
   // Ping-pong buffers for the per-word class split (<= 64 non-empty
@@ -80,17 +82,101 @@ struct Bank::SenseArena {
   std::vector<int> candidates;
   /// Scratch for bulk_hammer's sorted hammered-row lookup.
   std::vector<int> hammered_rows;
+
+  /// Resets the per-sense memos and, when the sense checks disturbance,
+  /// tabulates each epoch's dose term for both scans. Term by term this is
+  /// the per-cell fold: coupling depends only on victim/aggressor equality,
+  /// so coupling(true, same, intra) is the double coupling(value,
+  /// aggressor_bit, intra) yields, and every cell adds its terms in epoch
+  /// order starting from 0.0.
+  void begin_sense(const disturb::FaultModel& fault,
+                   const disturb::DoseLedger& ledger, bool check_disturb) {
+    memo_size = 0;
+    memo_next = 0;
+    classes.clear();
+    if (!check_disturb) return;
+    const auto& epochs = ledger.epochs();
+    epoch_terms.resize(epochs.size());
+    for (std::size_t ei = 0; ei < epochs.size(); ++ei) {
+      const auto& e = epochs[ei];
+      for (int k = 0; k < 4; ++k) {
+        epoch_terms[ei][static_cast<std::size_t>(k)] =
+            e.dose() * fault.distance_factor(e.distance) *
+            fault.coupling(true, (k & 1) != 0, (k & 2) != 0);
+      }
+    }
+  }
+
+  /// Flip probabilities of each population at an effective dose.
+  /// threshold <= dose is equivalent to comparing the cell's raw uniform
+  /// against Phi(ln(dose / median) / sigma) of the cell's population;
+  /// cells fall into a handful of identical dose classes (victim bit x
+  /// aggressor bits x intra bonus), so the CDFs are memoized per distinct
+  /// dose. The memo is a ring: once full, slots are overwritten
+  /// round-robin; each overwrite counts one of `evictions`.
+  DoseProb flip_probabilities(const disturb::RowContext& ctx, double dose,
+                              std::uint64_t& evictions) {
+    for (std::size_t i = 0; i < memo_size; ++i) {
+      if (memo[i].dose == dose) return memo[i];
+    }
+    DoseProb entry{dose, 0.0, 0.0, 0.0};
+    if (dose > 0.0) {
+      entry.outlier_probability = disturb::FaultModel::normal_cdf(
+          std::log(dose / ctx.outlier_median) / ctx.outlier_sigma);
+      entry.weak_probability = disturb::FaultModel::normal_cdf(
+          std::log(dose / ctx.weak_median) / ctx.weak_sigma);
+      entry.bulk_probability = disturb::FaultModel::normal_cdf(
+          std::log(dose / ctx.bulk_median) / ctx.bulk_sigma);
+    }
+    std::size_t slot;
+    if (memo_size < memo.size()) {
+      slot = memo_size++;
+    } else {
+      slot = memo_next;
+      memo_next = (memo_next + 1) % memo.size();
+      ++evictions;
+    }
+    memo[slot] = entry;
+    return entry;
+  }
+
+  /// flip_probabilities of a bitplane dose class (its dose before the
+  /// temperature factor), memoized per class for the whole sense.
+  DoseProb class_probabilities(const disturb::RowContext& ctx, double dose,
+                               double temp_vuln, std::uint64_t& evictions) {
+    for (const auto& c : classes) {
+      if (c.dose == dose) return c.p;
+    }
+    const DoseProb p = flip_probabilities(ctx, dose * temp_vuln, evictions);
+    classes.push_back({dose, p});
+    return p;
+  }
+};
+
+/// What one sense checks, as decided by the gates before any cell is read.
+struct Bank::SensePlan {
+  double elapsed_s = 0.0;
+  double temp_vuln = 0.0;
+  /// Upper bound of any cell's effective dose: full coupling, intra bonus.
+  double max_dose = 0.0;
+  bool check_retention = false;
+  bool check_disturb = false;
+  /// Retention failure bound on each population's raw uniform; <= 0 means
+  /// no cell of the population can fail at this elapsed time.
+  double leaky_u_max = 0.0;
+  double normal_u_max = 0.0;
+  disturb::RowContext ctx;
 };
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
            const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache* threshold_cache)
+           disturb::BankThresholdCache& threshold_cache)
     : address_(address),
       fault_(fault_model),
       env_(env),
       timing_(timing),
       checker_(timing),
-      threshold_cache_(threshold_cache) {
+      threshold_cache_(&threshold_cache) {
   validate(address_);
   if (fault_ == nullptr || env_ == nullptr) {
     throw std::invalid_argument("Bank: fault model and environment required");
@@ -120,9 +206,8 @@ Bank::RowState& Bank::state(int physical_row, Cycle now) {
     auto words = rs.bits.words();
     // A cached summary carries the row's power-on plane verbatim; fresh
     // materialization of a cached row skips the per-word hash pass.
-    const disturb::RowThresholdSummary* cached =
-        threshold_cache_ ? threshold_cache_->peek(physical_row) : nullptr;
-    if (cached != nullptr) {
+    if (const disturb::RowThresholdSummary* cached =
+            threshold_cache_->peek(physical_row)) {
       std::copy(cached->power_on.begin(), cached->power_on.end(),
                 words.begin());
     } else {
@@ -235,17 +320,36 @@ int Bank::open_row() const {
 }
 
 void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
-  const double elapsed_s = cycles_to_seconds(now - row.last_restore);
-  bool check_retention = elapsed_s > kRetentionFloorSeconds;
-  bool check_disturb = !row.ledger.empty();
-  const double temp_now = env_->temperature_c;
-  if (check_retention) {
+  SensePlan plan;
+  if (sense_gates(physical_row, row, now, plan)) {
+    // Flips are decided against a snapshot so that materializing one flip
+    // does not change a neighbouring cell's intra-row coupling mid-scan.
+    const RowBits snapshot = row.bits;
+    const disturb::RowThresholdSummary& summary =
+        threshold_cache_->get(*fault_, physical_row);
+    arena().begin_sense(*fault_, row.ledger, plan.check_disturb);
+    const bool changed = collect_candidates(plan, summary)
+                             ? candidate_scan(plan, summary, snapshot, row)
+                             : bitplane_scan(plan, summary, snapshot, row);
+    if (changed) ++row.version;
+  }
+  row.ledger.clear();
+  row.last_restore = now;
+}
+
+bool Bank::sense_gates(int physical_row, RowState& row, Cycle now,
+                       SensePlan& plan) {
+  plan.elapsed_s = cycles_to_seconds(now - row.last_restore);
+  plan.check_retention = plan.elapsed_s > kRetentionFloorSeconds;
+  plan.check_disturb = !row.ledger.empty();
+  const double temp = env_->temperature_c;
+  if (plan.check_retention) {
     // One cheap scan per row lifetime caches the row's weakest retention;
     // senses below it skip the per-cell retention pass entirely. A cached
     // summary (if the row's is already built) carries the identical value.
     if (row.min_retention_ref_s < 0.0) {
       const disturb::RowThresholdSummary* cached =
-          threshold_cache_ ? threshold_cache_->peek(physical_row) : nullptr;
+          threshold_cache_->peek(physical_row);
       row.min_retention_ref_s = cached
                                     ? cached->min_retention_ref_s
                                     : min_retention_ref_seconds(physical_row);
@@ -253,484 +357,304 @@ void Bank::sense_and_restore(int physical_row, RowState& row, Cycle now) {
     const auto& params = fault_->params();
     const double min_at_temp =
         row.min_retention_ref_s *
-        std::exp2((params.retention_ref_temp_c - temp_now) /
+        std::exp2((params.retention_ref_temp_c - temp) /
                   params.retention_halving_c);
-    if (elapsed_s < min_at_temp) check_retention = false;
+    if (plan.elapsed_s < min_at_temp) plan.check_retention = false;
   }
 
-  double max_dose = 0.0;
-  const double temp = temp_now;
-  const double temp_vuln = fault_->temperature_vulnerability(temp);
-  if (check_disturb) {
-    // Upper bound of any cell's effective dose: full coupling, intra bonus.
+  plan.temp_vuln = fault_->temperature_vulnerability(temp);
+  if (plan.check_disturb) {
     const double max_coupling = 1.0 + fault_->params().coupling_intra_bonus;
     for (const auto& e : row.ledger.epochs()) {
-      max_dose += e.dose() * fault_->distance_factor(e.distance);
+      plan.max_dose += e.dose() * fault_->distance_factor(e.distance);
     }
-    max_dose *= max_coupling * temp_vuln;
+    plan.max_dose *= max_coupling * plan.temp_vuln;
     // Cheapest deterministic early-out: below the chip-wide threshold
     // floor nothing can flip, and the per-row context is not even needed
     // (the common case for pointer refreshes and benign traffic).
-    if (max_dose < fault_->global_threshold_floor()) {
-      check_disturb = false;
+    if (plan.max_dose < fault_->global_threshold_floor()) {
+      plan.check_disturb = false;
     }
   }
-  if (!check_retention && !check_disturb) {
-    row.ledger.clear();
-    row.last_restore = now;
-    return;
-  }
+  if (!plan.check_retention && !plan.check_disturb) return false;
 
-  const disturb::RowContext ctx = fault_->row_context(address_, physical_row);
-  if (check_disturb) {
+  plan.ctx = fault_->row_context(address_, physical_row);
+  if (plan.check_disturb) {
     // Per-row refinement: no cell of this row can have a threshold below
     // weak_median * exp(-kThresholdScanSigma * sigma) of the widest
     // population (the outliers reach deepest).
-    const double widest_sigma = std::max(ctx.weak_sigma, ctx.outlier_sigma);
-    if (max_dose <
-        ctx.weak_median * std::exp(-kThresholdScanSigma * widest_sigma)) {
-      check_disturb = false;
+    const double widest_sigma =
+        std::max(plan.ctx.weak_sigma, plan.ctx.outlier_sigma);
+    if (plan.max_dose < plan.ctx.weak_median *
+                            std::exp(-kThresholdScanSigma * widest_sigma)) {
+      plan.check_disturb = false;
     }
   }
-
-  if (check_retention || check_disturb) {
-    // Flips are decided against a snapshot so that materializing one flip
-    // does not change a neighbouring cell's intra-row coupling mid-scan.
-    const RowBits snapshot = row.bits;
-    bool changed = false;
-    SenseArena& a = arena();
-    a.memo_size = 0;
-    a.memo_next = 0;
-    a.classes.clear();
-
-    // threshold <= dose is equivalent to comparing the cell's raw uniform
-    // against Phi(ln(dose / median) / sigma) of the cell's population;
-    // cells fall into a handful of identical dose classes (victim bit x
-    // aggressor bits x intra bonus), so the CDFs are memoized per distinct
-    // dose for both populations. The memo is a ring: once full, slots are
-    // overwritten round-robin (the old fixed-slot scheme thrashed the last
-    // slot forever); evictions are counted as telemetry.
-    auto flip_probabilities = [&](double dose) -> DoseProb {
-      for (std::size_t i = 0; i < a.memo_size; ++i) {
-        if (a.memo[i].dose == dose) return a.memo[i];
-      }
-      DoseProb entry{dose, 0.0, 0.0, 0.0};
-      if (dose > 0.0) {
-        entry.outlier_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.outlier_median) / ctx.outlier_sigma);
-        entry.weak_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.weak_median) / ctx.weak_sigma);
-        entry.bulk_probability = disturb::FaultModel::normal_cdf(
-            std::log(dose / ctx.bulk_median) / ctx.bulk_sigma);
-      }
-      std::size_t slot;
-      if (a.memo_size < a.memo.size()) {
-        slot = a.memo_size++;
-      } else {
-        slot = a.memo_next;
-        a.memo_next = (a.memo_next + 1) % a.memo.size();
-        ++counters_.dose_memo_evictions;
-      }
-      a.memo[slot] = entry;
-      return entry;
+  if (plan.check_retention) {
+    // One failure probability threshold per population. Most senses see a
+    // zero threshold for the normal population, so the scans visit only
+    // leaky cells.
+    auto u_max = [&](bool leaky) {
+      const double med = fault_->retention_median_seconds(leaky, temp);
+      const double s = fault_->retention_sigma(leaky);
+      return disturb::FaultModel::normal_cdf(std::log(plan.elapsed_s / med) /
+                                             s);
     };
-
-    // Retention: one failure probability threshold per population. Most
-    // senses see a zero threshold for the normal population, so the scan
-    // pays one leaky-membership hash per cell and nothing more.
-    double leaky_u_max = 0.0;
-    double normal_u_max = 0.0;
-    if (check_retention) {
-      auto u_max = [&](bool leaky) {
-        const double med = fault_->retention_median_seconds(leaky, temp);
-        const double s = fault_->retention_sigma(leaky);
-        return disturb::FaultModel::normal_cdf(std::log(elapsed_s / med) / s);
-      };
-      leaky_u_max = u_max(true);
-      normal_u_max = u_max(false);
-      if (leaky_u_max <= 0.0 && normal_u_max <= 0.0) check_retention = false;
+    plan.leaky_u_max = u_max(true);
+    plan.normal_u_max = u_max(false);
+    if (plan.leaky_u_max <= 0.0 && plan.normal_u_max <= 0.0) {
+      plan.check_retention = false;
     }
-    if (!check_retention && !check_disturb) {
-      row.ledger.clear();
-      row.last_restore = now;
-      return;
+  }
+  return plan.check_retention || plan.check_disturb;
+}
+
+bool Bank::collect_candidates(const SensePlan& plan,
+                              const disturb::RowThresholdSummary& summary) {
+  // Per population, only the sorted-by-uniform prefix that the
+  // conservative bounds cannot rule out is a candidate.
+  auto& candidates = arena().candidates;
+  candidates.clear();
+  const auto take_prefix = [&candidates](const std::vector<int>& order,
+                                         const std::vector<double>& u,
+                                         double bound) {
+    for (int bit : order) {
+      if (u[static_cast<std::size_t>(bit)] > bound) break;
+      candidates.push_back(bit);
+    }
+  };
+  if (plan.check_retention) {
+    // A cell flips only if its retention uniform is <= its population's
+    // u_max; the prefixes cover exactly those cells.
+    if (plan.leaky_u_max > 0.0) {
+      take_prefix(summary.leaky_by_u, summary.retention_u, plan.leaky_u_max);
+    }
+    if (plan.normal_u_max > 0.0) {
+      take_prefix(summary.normal_by_u, summary.retention_u,
+                  plan.normal_u_max);
+    }
+  }
+  if (plan.check_disturb) {
+    // A cell's effective dose is bounded by max_dose (full coupling, intra
+    // bonus — the same bound the gates use), so its flip probability is
+    // bounded by its population's CDF at max_dose. The bound dose is
+    // inflated by 1e-9 to absorb the ulp-level difference between per-term
+    // and post-sum coupling rounding, keeping the prefix a strict superset
+    // of the exact flip set.
+    const double dose_bound = plan.max_dose * (1.0 + 1e-9);
+    const auto prob_bound = [dose_bound](double median, double sigma) {
+      return disturb::FaultModel::normal_cdf(std::log(dose_bound / median) /
+                                             sigma);
+    };
+    const disturb::RowContext& ctx = plan.ctx;
+    const double outlier_bound =
+        prob_bound(ctx.outlier_median, ctx.outlier_sigma);
+    const double weak_bound = prob_bound(ctx.weak_median, ctx.weak_sigma);
+    const double bulk_bound = prob_bound(ctx.bulk_median, ctx.bulk_sigma);
+    if (outlier_bound > 0.0) {
+      take_prefix(summary.outlier_by_u, summary.cell_u, outlier_bound);
+    }
+    if (weak_bound > 0.0) {
+      take_prefix(summary.weak_by_u, summary.cell_u, weak_bound);
+    }
+    if (bulk_bound > 0.0) {
+      take_prefix(summary.bulk_by_u, summary.cell_u, bulk_bound);
+    }
+  }
+  // A huge candidate prefix means the bounds ruled little out: the
+  // word-parallel scan beats visiting cells one by one. Flips are
+  // identical either way.
+  return candidates.size() <= kCandidateScanLimit;
+}
+
+bool Bank::candidate_scan(const SensePlan& plan,
+                          const disturb::RowThresholdSummary& summary,
+                          const RowBits& snapshot, RowState& row) {
+  // Every candidate is decided by the exact per-cell expressions of the
+  // sense model, with the summary's uniforms and flags standing in
+  // (verbatim) for the fault-model hashes.
+  using Summary = disturb::RowThresholdSummary;
+  SenseArena& a = arena();
+  auto& candidates = a.candidates;
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  counters_.sense_cells_visited += candidates.size();
+
+  const auto& epochs = row.ledger.epochs();
+  bool changed = false;
+  for (int bit : candidates) {
+    const auto i = static_cast<std::size_t>(bit);
+    const bool value = snapshot.get(bit);
+    const std::uint8_t flags = summary.flags[i];
+    if (value != ((flags & Summary::kTrueCell) != 0)) continue;  // discharged
+
+    bool flip = false;
+    if (plan.check_retention) {
+      const double u_max =
+          (flags & Summary::kLeaky) ? plan.leaky_u_max : plan.normal_u_max;
+      flip = u_max > 0.0 && summary.retention_u[i] <= u_max;
+    }
+    if (!flip && plan.check_disturb) {
+      const bool left = bit > 0 ? snapshot.get(bit - 1) : value;
+      const bool right = bit + 1 < kRowBits ? snapshot.get(bit + 1) : value;
+      const std::size_t intra = (left != value) || (right != value) ? 2 : 0;
+      double dose = 0.0;
+      for (std::size_t ei = 0; ei < epochs.size(); ++ei) {
+        const bool same = epochs[ei].aggressor_bits.get(bit) == value;
+        dose += a.epoch_terms[ei][intra + (same ? 1 : 0)];
+      }
+      dose *= plan.temp_vuln;
+      const DoseProb p = a.flip_probabilities(plan.ctx, dose,
+                                              counters_.dose_memo_evictions);
+      const double probability = p.of((flags & Summary::kOutlier) != 0,
+                                      (flags & Summary::kWeak) != 0);
+      flip = probability > 0.0 && summary.cell_u[i] <= probability;
+    }
+    if (flip) {
+      row.bits.set(bit, !value);
+      ++counters_.bitflips_materialized;
+      changed = true;
+    }
+  }
+  return changed;
+}
+
+bool Bank::bitplane_scan(const SensePlan& plan,
+                         const disturb::RowThresholdSummary& summary,
+                         const RowBits& snapshot, RowState& row) {
+  // Word-parallel scan over the whole row: per-cell predicates become
+  // 64-wide mask operations, per-cell dose folds collapse into a handful
+  // of dose classes per word, and flips apply as one XOR per word.
+  SenseArena& a = arena();
+  const auto& epochs = row.ledger.epochs();
+  const std::size_t n_epochs = epochs.size();
+  const std::uint64_t* sw = snapshot.words().data();
+  bool changed = false;
+  for (int w = 0; w < RowBits::kWords; ++w) {
+    const auto wi = static_cast<std::size_t>(w);
+    const std::uint64_t v = sw[wi];
+    const std::uint64_t charged = ~(v ^ summary.true_plane[wi]);
+    std::uint64_t flips = 0;
+
+    if (plan.check_retention) {
+      const std::uint64_t lk = summary.leaky_plane[wi];
+      std::uint64_t cand = charged;
+      // A population with a zero failure threshold cannot flip.
+      if (plan.leaky_u_max <= 0.0) cand &= ~lk;
+      if (plan.normal_u_max <= 0.0) cand &= lk;
+      counters_.sense_cells_visited +=
+          static_cast<std::uint64_t>(std::popcount(cand));
+      while (cand != 0) {
+        const int b = std::countr_zero(cand);
+        cand &= cand - 1;
+        const double u_max =
+            ((lk >> b) & 1u) != 0 ? plan.leaky_u_max : plan.normal_u_max;
+        if (summary.retention_u[wi * 64 + static_cast<std::size_t>(b)] <=
+            u_max) {
+          flips |= 1ull << b;
+        }
+      }
     }
 
-    const auto& epochs = row.ledger.epochs();
-    const std::size_t n_epochs = epochs.size();
+    const std::uint64_t cand = charged & ~flips;
+    if (plan.check_disturb && cand != 0) {
+      // Neighbour planes with cross-word carries; edge cells borrow their
+      // own value (differs = 0), matching the per-cell model.
+      std::uint64_t left = v << 1;
+      left |= w > 0 ? sw[wi - 1] >> 63 : v & 1ull;
+      std::uint64_t right = v >> 1;
+      right |= (w + 1 < RowBits::kWords ? sw[wi + 1] & 1ull
+                                        : (v >> 63) & 1ull)
+               << 63;
+      const std::uint64_t intra = (v ^ left) | (v ^ right);
+      const std::uint64_t outlier = summary.outlier_plane[wi];
+      const std::uint64_t weak = summary.weak_plane[wi];
 
-    // Word-parallel scan over the whole row: per-cell predicates become
-    // 64-wide mask operations, per-cell dose folds collapse into a handful
-    // of dose classes per word, and flips apply as one XOR per word. The
-    // accessors abstract where per-cell uniforms/memberships come from (a
-    // cached summary, or lazy hashes off hoisted row prefixes); either way
-    // the values are bit-identical to the per-cell fault-model hashes.
-    auto bitplane_scan = [&](const std::uint64_t* true_plane,
-                             const std::uint64_t* leaky_plane,
-                             auto&& cell_u_at, auto&& retention_u_at,
-                             auto&& outlier_at, auto&& weak_at) {
-      const std::uint64_t* sw = snapshot.words().data();
-      // Term-by-term the same fold as the per-cell reference: coupling
-      // depends only on victim/aggressor equality, so coupling(true, same,
-      // intra) yields the identical double, and each group adds its terms
-      // in epoch order starting from 0.0.
-      if (check_disturb) {
-        a.epoch_terms.resize(n_epochs);
+      // Split the word's cells into dose classes: once on intra-row
+      // coupling (it selects each epoch's term pair), then per half once
+      // per epoch on "victim bit equals the aggressor bit", each group
+      // adding that epoch's term to its running dose. Non-empty groups
+      // partition 64 bits, so at most 64 exist at any stage.
+      counters_.sense_word_ops += n_epochs + 1;
+      for (const bool in_intra : {false, true}) {
+        const std::uint64_t half = cand & (in_intra ? intra : ~intra);
+        if (half == 0) continue;
+        const std::size_t t = in_intra ? 2 : 0;
+        SenseArena::Group* cur = a.group_a.data();
+        SenseArena::Group* nxt = a.group_b.data();
+        cur[0] = {half, 0.0};
+        int n_cur = 1;
         for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-          const auto& e = epochs[ei];
-          for (int k = 0; k < 4; ++k) {
-            a.epoch_terms[ei][static_cast<std::size_t>(k)] =
-                e.dose() * fault_->distance_factor(e.distance) *
-                fault_->coupling(true, (k & 1) != 0, (k & 2) != 0);
+          const std::uint64_t same =
+              ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
+          const double term_diff = a.epoch_terms[ei][t];
+          const double term_same = a.epoch_terms[ei][t + 1];
+          int n_nxt = 0;
+          for (int g = 0; g < n_cur; ++g) {
+            const std::uint64_t m1 = cur[g].mask & same;
+            const std::uint64_t m0 = cur[g].mask & ~same;
+            if (m1 != 0) nxt[n_nxt++] = {m1, cur[g].dose + term_same};
+            if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].dose + term_diff};
           }
+          std::swap(cur, nxt);
+          n_cur = n_nxt;
         }
-      }
-      auto class_probs = [&](double dose) -> DoseProb {
-        for (const auto& c : a.classes) {
-          if (c.dose == dose) return c.p;
-        }
-        const DoseProb p = flip_probabilities(dose * temp_vuln);
-        a.classes.push_back({dose, p});
-        return p;
-      };
 
-      for (int w = 0; w < RowBits::kWords; ++w) {
-        const auto wi = static_cast<std::size_t>(w);
-        const std::uint64_t v = sw[wi];
-        const std::uint64_t charged = ~(v ^ true_plane[wi]);
-        std::uint64_t flips = 0;
-
-        if (check_retention) {
-          const std::uint64_t lk = leaky_plane[wi];
-          std::uint64_t cand = charged;
-          // A population with a zero failure threshold cannot flip.
-          if (leaky_u_max <= 0.0) cand &= ~lk;
-          if (normal_u_max <= 0.0) cand &= lk;
+        for (int g = 0; g < n_cur; ++g) {
+          const DoseProb p =
+              a.class_probabilities(plan.ctx, cur[g].dose, plan.temp_vuln,
+                                    counters_.dose_memo_evictions);
+          const double p_max = std::max(
+              {p.outlier_probability, p.weak_probability, p.bulk_probability});
+          if (p_max <= 0.0) continue;
+          std::uint64_t m = cur[g].mask;
           counters_.sense_cells_visited +=
-              static_cast<std::uint64_t>(std::popcount(cand));
-          while (cand != 0) {
-            const int b = std::countr_zero(cand);
-            cand &= cand - 1;
-            const int bit = w * 64 + b;
-            const bool leaky = ((lk >> b) & 1u) != 0;
-            const double u_max = leaky ? leaky_u_max : normal_u_max;
-            if (retention_u_at(bit, leaky) <= u_max) flips |= 1ull << b;
+              static_cast<std::uint64_t>(std::popcount(m));
+          while (m != 0) {
+            const int b = std::countr_zero(m);
+            m &= m - 1;
+            const double u =
+                summary.cell_u[wi * 64 + static_cast<std::size_t>(b)];
+            // Sound screen: every population's probability <= p_max.
+            if (u > p_max) continue;
+            const double probability =
+                p.of(((outlier >> b) & 1u) != 0, ((weak >> b) & 1u) != 0);
+            if (probability > 0.0 && u <= probability) flips |= 1ull << b;
           }
-        }
-
-        if (check_disturb) {
-          const std::uint64_t cand = charged & ~flips;
-          if (cand != 0) {
-            // Neighbour planes with cross-word carries; edge cells borrow
-            // their own value (differs = 0), matching the per-cell model.
-            std::uint64_t left = v << 1;
-            left |= w > 0 ? sw[wi - 1] >> 63 : v & 1ull;
-            std::uint64_t right = v >> 1;
-            right |= (w + 1 < RowBits::kWords ? sw[wi + 1] & 1ull
-                                              : (v >> 63) & 1ull)
-                     << 63;
-            const std::uint64_t intra = (v ^ left) | (v ^ right);
-
-            // Split the word's cells into dose classes: once on intra-row
-            // coupling (it selects each epoch's term pair), then per half
-            // once per epoch on "victim bit equals the aggressor bit",
-            // each group adding that epoch's term to its running dose.
-            // Non-empty groups partition 64 bits, so at most 64 exist at
-            // any stage.
-            counters_.sense_word_ops += n_epochs + 1;
-            for (const bool in_intra : {false, true}) {
-              const std::uint64_t half = cand & (in_intra ? intra : ~intra);
-              if (half == 0) continue;
-              const std::size_t t = in_intra ? 2 : 0;
-              SenseArena::Group* cur = a.group_a.data();
-              SenseArena::Group* nxt = a.group_b.data();
-              cur[0] = {half, 0.0};
-              int n_cur = 1;
-              for (std::size_t ei = 0; ei < n_epochs; ++ei) {
-                const std::uint64_t same =
-                    ~(v ^ epochs[ei].aggressor_bits.words()[wi]);
-                const double term_diff = a.epoch_terms[ei][t];
-                const double term_same = a.epoch_terms[ei][t + 1];
-                int n_nxt = 0;
-                for (int g = 0; g < n_cur; ++g) {
-                  const std::uint64_t m1 = cur[g].mask & same;
-                  const std::uint64_t m0 = cur[g].mask & ~same;
-                  if (m1 != 0) nxt[n_nxt++] = {m1, cur[g].dose + term_same};
-                  if (m0 != 0) nxt[n_nxt++] = {m0, cur[g].dose + term_diff};
-                }
-                std::swap(cur, nxt);
-                n_cur = n_nxt;
-              }
-
-              for (int g = 0; g < n_cur; ++g) {
-                const DoseProb p = class_probs(cur[g].dose);
-                const double p_max =
-                    std::max({p.outlier_probability, p.weak_probability,
-                              p.bulk_probability});
-                if (p_max <= 0.0) continue;
-                std::uint64_t m = cur[g].mask;
-                counters_.sense_cells_visited +=
-                    static_cast<std::uint64_t>(std::popcount(m));
-                while (m != 0) {
-                  const int b = std::countr_zero(m);
-                  m &= m - 1;
-                  const int bit = w * 64 + b;
-                  const double u = cell_u_at(bit);
-                  // Sound screen: every population's probability <= p_max.
-                  if (u > p_max) continue;
-                  double probability = p.bulk_probability;
-                  if (outlier_at(bit)) {
-                    probability = p.outlier_probability;
-                  } else if (weak_at(bit)) {
-                    probability = p.weak_probability;
-                  }
-                  if (probability > 0.0 && u <= probability) {
-                    flips |= 1ull << b;
-                  }
-                }
-              }
-            }
-          }
-        }
-
-        if (flips != 0) {
-          // Flips only discharge charged cells, so the XOR is exactly a
-          // per-bit set(bit, !value).
-          row.bits.words()[wi] ^= flips;
-          counters_.bitflips_materialized +=
-              static_cast<std::uint64_t>(std::popcount(flips));
-          changed = true;
-        }
-      }
-      counters_.sense_word_ops +=
-          static_cast<std::uint64_t>(RowBits::kWords) *
-          (1u + (check_retention ? 1u : 0u));
-    };
-
-    const disturb::RowThresholdSummary* summary =
-        threshold_cache_ ? &threshold_cache_->get(*fault_, physical_row)
-                         : nullptr;
-    bool scanned = false;
-    if (summary != nullptr) {
-      // Candidate-driven scan: per population, only the sorted-by-uniform
-      // prefix that the conservative bounds cannot rule out is visited;
-      // every visited cell is then decided by the exact per-cell
-      // expressions of the sense model, with the cached uniforms and
-      // flags standing in (verbatim) for the fault-model hashes.
-      auto& candidates = a.candidates;
-      candidates.clear();
-      const auto take_prefix = [&candidates](const std::vector<int>& order,
-                                             const std::vector<double>& u,
-                                             double bound) {
-        for (int bit : order) {
-          if (u[static_cast<std::size_t>(bit)] > bound) break;
-          candidates.push_back(bit);
-        }
-      };
-      if (check_retention) {
-        // A cell flips only if its retention uniform is <= its
-        // population's u_max; the prefixes cover exactly those cells.
-        if (leaky_u_max > 0.0) {
-          take_prefix(summary->leaky_by_u, summary->retention_u, leaky_u_max);
-        }
-        if (normal_u_max > 0.0) {
-          take_prefix(summary->normal_by_u, summary->retention_u,
-                      normal_u_max);
-        }
-      }
-      if (check_disturb) {
-        // A cell's effective dose is bounded by max_dose (full coupling,
-        // intra bonus — the same bound the early-outs use), so its flip
-        // probability is bounded by its population's CDF at max_dose. The
-        // bound dose is inflated by 1e-9 to absorb the ulp-level
-        // difference between per-term and post-sum coupling rounding,
-        // keeping the prefix a strict superset of the exact flip set.
-        const double dose_bound = max_dose * (1.0 + 1e-9);
-        const auto prob_bound = [&](double median, double sigma) {
-          return disturb::FaultModel::normal_cdf(
-              std::log(dose_bound / median) / sigma);
-        };
-        const double outlier_bound =
-            prob_bound(ctx.outlier_median, ctx.outlier_sigma);
-        const double weak_bound = prob_bound(ctx.weak_median, ctx.weak_sigma);
-        const double bulk_bound = prob_bound(ctx.bulk_median, ctx.bulk_sigma);
-        if (outlier_bound > 0.0) {
-          take_prefix(summary->outlier_by_u, summary->cell_u, outlier_bound);
-        }
-        if (weak_bound > 0.0) {
-          take_prefix(summary->weak_by_u, summary->cell_u, weak_bound);
-        }
-        if (bulk_bound > 0.0) {
-          take_prefix(summary->bulk_by_u, summary->cell_u, bulk_bound);
-        }
-      }
-      // A huge candidate prefix means the bounds ruled little out: the
-      // word-parallel scan beats visiting cells one by one. Flips are
-      // identical either way.
-      if (candidates.size() <= kCandidateScanLimit) {
-        scanned = true;
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        counters_.sense_cells_visited += candidates.size();
-
-        for (int bit : candidates) {
-        const auto i = static_cast<std::size_t>(bit);
-        const bool value = snapshot.get(bit);
-        const std::uint8_t flags = summary->flags[i];
-        const bool charged =
-            value == ((flags & disturb::RowThresholdSummary::kTrueCell) != 0);
-
-        bool flip = false;
-        if (check_retention) {
-          const double u_max = (flags & disturb::RowThresholdSummary::kLeaky)
-                                   ? leaky_u_max
-                                   : normal_u_max;
-          if (u_max > 0.0 && summary->retention_u[i] <= u_max && charged) {
-            flip = true;
-          }
-        }
-        if (!flip && check_disturb && charged) {
-          const bool left = bit > 0 ? snapshot.get(bit - 1) : value;
-          const bool right =
-              bit + 1 < kRowBits ? snapshot.get(bit + 1) : value;
-          const bool intra_differs = (left != value) || (right != value);
-          double dose = 0.0;
-          for (const auto& e : epochs) {
-            dose += e.dose() * fault_->distance_factor(e.distance) *
-                    fault_->coupling(value, e.aggressor_bits.get(bit),
-                                     intra_differs);
-          }
-          dose *= temp_vuln;
-          const DoseProb& p = flip_probabilities(dose);
-          if (p.outlier_probability > 0.0 || p.weak_probability > 0.0 ||
-              p.bulk_probability > 0.0) {
-            double probability = p.bulk_probability;
-            if (flags & disturb::RowThresholdSummary::kOutlier) {
-              probability = p.outlier_probability;
-            } else if (flags & disturb::RowThresholdSummary::kWeak) {
-              probability = p.weak_probability;
-            }
-            if (probability > 0.0 && summary->cell_u[i] <= probability) {
-              flip = true;
-            }
-          }
-        }
-        if (flip) {
-          row.bits.set(bit, !value);
-          ++counters_.bitflips_materialized;
-          changed = true;
-        }
         }
       }
     }
-    if (!scanned && summary != nullptr) {
-      // Bitplane scan off the cached summary's planes and uniform arrays.
-      bitplane_scan(
-          summary->true_plane.data(), summary->leaky_plane.data(),
-          [&](int bit) {
-            return summary->cell_u[static_cast<std::size_t>(bit)];
-          },
-          [&](int bit, bool /*leaky*/) {
-            return summary->retention_u[static_cast<std::size_t>(bit)];
-          },
-          [&](int bit) {
-            return ((summary->outlier_plane[static_cast<std::size_t>(
-                         bit >> 6)] >>
-                     (bit & 63)) &
-                    1u) != 0;
-          },
-          [&](int bit) {
-            return ((summary->weak_plane[static_cast<std::size_t>(bit >> 6)] >>
-                     (bit & 63)) &
-                    1u) != 0;
-          });
-    } else if (!scanned) {
-      // No cached summary: hoist the row's hash prefixes once, fill only
-      // the planes the masks need, and hash uniforms lazily per visited
-      // cell — identical values to the per-cell fault-model hash calls.
-      const auto& params = fault_->params();
-      const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
-      disturb::FaultModel::fill_membership_plane(
-          prefixes.orientation, params.true_cell_fraction, a.true_plane);
-      counters_.sense_word_ops += RowBits::kWords;
-      if (check_retention) {
-        disturb::FaultModel::fill_membership_plane(
-            prefixes.leaky, params.leaky_cell_fraction, a.leaky_plane);
-        counters_.sense_word_ops += RowBits::kWords;
-      }
-      const std::uint64_t outlier_threshold =
-          disturb::FaultModel::membership_threshold(params.outlier_fraction);
-      const std::uint64_t weak_threshold =
-          disturb::FaultModel::membership_threshold(ctx.weak_density);
-      bitplane_scan(
-          a.true_plane.data(), a.leaky_plane.data(),
-          [&](int bit) {
-            return disturb::FaultModel::uniform_at(prefixes.cell_threshold,
-                                                   bit);
-          },
-          [&](int bit, bool leaky) {
-            return disturb::FaultModel::uniform_at(
-                leaky ? prefixes.leaky_retention : prefixes.normal_retention,
-                bit);
-          },
-          [&](int bit) {
-            return disturb::FaultModel::below_threshold(prefixes.outlier, bit,
-                                                        outlier_threshold);
-          },
-          [&](int bit) {
-            return disturb::FaultModel::below_threshold(prefixes.weak, bit,
-                                                        weak_threshold);
-          });
+
+    if (flips != 0) {
+      // Flips only discharge charged cells, so the XOR is exactly a per-bit
+      // set(bit, !value).
+      row.bits.words()[wi] ^= flips;
+      counters_.bitflips_materialized +=
+          static_cast<std::uint64_t>(std::popcount(flips));
+      changed = true;
     }
-    if (changed) ++row.version;
   }
-
-  row.ledger.clear();
-  row.last_restore = now;
+  counters_.sense_word_ops += static_cast<std::uint64_t>(RowBits::kWords) *
+                              (1u + (plan.check_retention ? 1u : 0u));
+  return changed;
 }
 
 double Bank::min_retention_ref_seconds(int physical_row) {
-  const auto& params = fault_->params();
   // Word-batched: one hoisted hash prefix per property instead of two
   // hash_key folds per cell; the resulting uniforms are bit-identical.
   const auto prefixes = fault_->row_hash_prefixes(address_, physical_row);
   SenseArena& a = arena();
   disturb::FaultModel::fill_membership_plane(
-      prefixes.leaky, params.leaky_cell_fraction, a.leaky_plane);
+      prefixes.leaky, fault_->params().leaky_cell_fraction, a.leaky_plane);
   a.retention_u.resize(static_cast<std::size_t>(kRowBits));
   disturb::FaultModel::fill_retention_uniform_row(
       prefixes.leaky_retention, prefixes.normal_retention, a.leaky_plane,
       a.retention_u);
   counters_.sense_word_ops +=
       static_cast<std::uint64_t>(2 * RowBits::kWords);
-  double min_u_leaky = 2.0;
-  double min_u_normal = 2.0;
-  for (int bit = 0; bit < kRowBits; ++bit) {
-    const double u = a.retention_u[static_cast<std::size_t>(bit)];
-    if ((a.leaky_plane[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) &
-        1u) {
-      min_u_leaky = std::min(min_u_leaky, u);
-    } else {
-      min_u_normal = std::min(min_u_normal, u);
-    }
-  }
-  double minimum = std::numeric_limits<double>::max();
-  if (min_u_leaky <= 1.0) {
-    minimum = std::min(
-        minimum, params.leaky_retention_median_s *
-                     std::exp(params.leaky_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_leaky))));
-  }
-  if (min_u_normal <= 1.0) {
-    minimum = std::min(
-        minimum, params.normal_retention_median_s *
-                     std::exp(params.normal_retention_sigma *
-                              util::inverse_normal_cdf(
-                                  std::max(1e-300, min_u_normal))));
-  }
-  return minimum;
+  return disturb::min_retention_ref_seconds(fault_->params(), a.leaky_plane,
+                                            a.retention_u);
 }
 
 void Bank::disturb_neighbors(int aggressor_row, const RowState& /*aggressor*/,

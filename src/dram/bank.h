@@ -45,8 +45,9 @@ struct BankCounters {
   /// (each eviction re-pays three normal_cdf calls on the next lookup of
   /// the evicted dose). Telemetry: depends on which scan ran.
   std::uint64_t dose_memo_evictions = 0;
-  /// 64-bit words processed by the word-parallel stages of bitplane senses
-  /// (plane/uniform fills and the per-word class-split scan).
+  /// 64-bit words processed by the word-parallel stages of senses (the
+  /// bitplane scan's per-word class split, and the plane/uniform fills of
+  /// a min-retention scan for a row whose summary is not built yet).
   std::uint64_t sense_word_ops = 0;
   /// Cells examined individually by a sense: candidate-prefix entries and
   /// per-bit work inside bitplane scans. The ratio to sense_word_ops makes
@@ -64,16 +65,16 @@ struct HammerStep {
 
 class Bank {
  public:
-  /// `threshold_cache` (optional) memoizes per-row cell summaries so senses
-  /// of cached rows skip the per-cell hash scan; results are bit-identical
-  /// with and without it. The cache outlives the bank (it is shared across
-  /// power cycles) and must only be used from the bank's thread. Senses
-  /// take a candidate-prefix scan when a cached summary bounds the work to
-  /// a few cells and the word-parallel bitplane scan otherwise; both match
-  /// the per-cell reference in tests/device_bitplane_test.cpp bit for bit.
+  /// Senses read every per-cell parameter from the row's summary in
+  /// `threshold_cache`, which memoizes them per row. The cache outlives
+  /// the bank (a Stack may share it across power cycles) and must only be
+  /// used from the bank's thread. Senses take a candidate-prefix scan when
+  /// the summary bounds the work to a few cells and the word-parallel
+  /// bitplane scan otherwise; both match the per-cell reference in
+  /// tests/device_bitplane_test.cpp bit for bit.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
        const Environment* env, TimingParams timing,
-       disturb::BankThresholdCache* threshold_cache = nullptr);
+       disturb::BankThresholdCache& threshold_cache);
 
   Bank(const Bank&) = delete;
   Bank& operator=(const Bank&) = delete;
@@ -214,18 +215,46 @@ class Bank {
   }
 
   /// Per-bank scratch arena: every per-sense/per-window buffer (candidate
-  /// lists, bitplanes, uniform rows, dose-class groups, the DoseProb ring)
-  /// lives here, lazily allocated on first use so untouched banks stay
-  /// cheap and the worker hot path is allocation-free in steady state.
+  /// lists, epoch dose terms, dose-class groups, the DoseProb ring, the
+  /// lazy min-retention scan's plane and uniforms) lives here, lazily
+  /// allocated on first use so untouched banks stay cheap and the worker
+  /// hot path is allocation-free in steady state.
   struct SenseArena;
 
   [[nodiscard]] SenseArena& arena();
 
   /// Sense: applies retention decay and disturbance flips to the stored
   /// bits, then clears the dose ledger and resets the retention clock.
+  /// A driver over the stages below.
   void sense_and_restore(int physical_row, RowState& row, Cycle now);
 
-  /// Minimum cell retention of a row at the reference temperature.
+  /// What one sense checks (gate outcomes, dose bound, row context).
+  struct SensePlan;
+
+  /// Gates: the retention floor, the chip-wide dose floor and the row's
+  /// 6-sigma dose floor. Fills `plan`; false when no cell can flip.
+  bool sense_gates(int physical_row, RowState& row, Cycle now,
+                   SensePlan& plan);
+
+  /// Collects the sorted-by-uniform population prefixes the plan's bounds
+  /// cannot rule out; false when they exceed the candidate-scan limit.
+  bool collect_candidates(const SensePlan& plan,
+                          const disturb::RowThresholdSummary& summary);
+
+  /// Decides each collected candidate cell by cell. The two scans flip
+  /// the same cells; each returns whether any cell flipped.
+  bool candidate_scan(const SensePlan& plan,
+                      const disturb::RowThresholdSummary& summary,
+                      const RowBits& snapshot, RowState& row);
+
+  /// Decides the whole row 64 cells per word, splitting each word into
+  /// dose classes over the ledger's epochs.
+  bool bitplane_scan(const SensePlan& plan,
+                     const disturb::RowThresholdSummary& summary,
+                     const RowBits& snapshot, RowState& row);
+
+  /// Minimum cell retention of a row at the reference temperature, for
+  /// rows whose summary is not built yet (hashed, not cached).
   [[nodiscard]] double min_retention_ref_seconds(int physical_row);
 
   /// Applies the disturbance of one aggressor activation burst to the
@@ -251,7 +280,7 @@ class Bank {
   std::uint64_t cow_epoch_ = 0;
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;
-  disturb::BankThresholdCache* threshold_cache_ = nullptr;
+  disturb::BankThresholdCache* threshold_cache_;  // never null
   std::unique_ptr<SenseArena> arena_;
 };
 

@@ -28,11 +28,12 @@ struct StackConfig {
   std::function<std::unique_ptr<ReadDisturbDefense>(const BankAddress&)>
       defense_factory;
   double initial_temperature_c = 60.0;
-  /// Optional per-bank row threshold cache (see disturb/threshold_cache.h).
-  /// Shared so it survives stack rebuilds (power cycles): the cached
-  /// summaries are pure functions of the disturb seed, never of device
-  /// state. Null = senses use the uncached bitplane scan. Must only be
-  /// shared between stacks driven from the same thread.
+  /// Per-bank row threshold cache (see disturb/threshold_cache.h); every
+  /// sense reads its cells from it. Null = the stack creates a private
+  /// one. Set it to share the cache across stack rebuilds (power cycles),
+  /// as bender::HbmChip does: the cached summaries are pure functions of
+  /// the disturb seed, never of device state. Must only be shared between
+  /// stacks driven from the same thread.
   std::shared_ptr<disturb::ThresholdCache> threshold_cache;
 };
 

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "disturb/fault_model.h"
+#include "disturb/threshold_cache.h"
 #include "dram/geometry.h"
 
 namespace hbmrd::dram {
@@ -25,7 +26,8 @@ struct TestBank {
   disturb::FaultModel fault{test_params()};
   Environment env{60.0};
   TimingParams timing{};
-  Bank bank{kAddr, &fault, &env, timing};
+  disturb::BankThresholdCache cache{kAddr, 16};
+  Bank bank{kAddr, &fault, &env, timing, cache};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {

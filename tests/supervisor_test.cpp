@@ -134,6 +134,17 @@ SupervisorConfig quick_supervision(std::uint64_t shards) {
   return config;
 }
 
+/// quick_supervision for tests that count spawns or injected faults. A
+/// steal respawns its victim and spawns the stolen shard, two spawns more
+/// than the shard count, and the respawned incarnation runs with worker
+/// faults disarmed, so an injected fault may never fire. Stealing is
+/// therefore off here; WorkStealingSplitsTheStraggler covers it.
+SupervisorConfig counted_supervision(std::uint64_t shards) {
+  auto config = quick_supervision(shards);
+  config.work_stealing = false;
+  return config;
+}
+
 const std::uint64_t kShardCounts[] = {1, 2, 4};
 
 TEST(ShardSetTest, SerializeParseRoundtrip) {
@@ -179,9 +190,10 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
     auto config = base_config("clean_s" + std::to_string(shards));
     clear_artifacts(config, shards);
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, quick_supervision(shards));
+    Supervisor supervisor(chip, config, counted_supervision(shards));
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+    EXPECT_EQ(report.shards_stolen, 0u);
     EXPECT_EQ(report.spawns, shards);
     EXPECT_EQ(report.crashes, 0u);
     EXPECT_EQ(report.campaign.completed, 12u);
@@ -202,9 +214,10 @@ TEST(SupervisorTest, CrashInCommitRecoversByteIdentical) {
     config.faults.worker.crash_at_trial = 5;
     clear_artifacts(config, shards);
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, quick_supervision(shards));
+    Supervisor supervisor(chip, config, counted_supervision(shards));
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+    EXPECT_EQ(report.shards_stolen, 0u);
     EXPECT_GE(report.crashes, 1u);
     EXPECT_GE(report.restarts, 1u);
     EXPECT_GT(report.spawns, shards);
@@ -223,9 +236,10 @@ TEST(SupervisorTest, HangIsWatchdogKilledAndResumed) {
     config.faults.worker.hang_at_trial = 7;  // wedge before trial 7
     clear_artifacts(config, shards);
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, quick_supervision(shards));
+    Supervisor supervisor(chip, config, counted_supervision(shards));
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+    EXPECT_EQ(report.shards_stolen, 0u);
     EXPECT_GE(report.hangs_killed, 1u);
     EXPECT_GE(report.crashes, 1u);  // a SIGKILLed worker is a crash
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
@@ -246,9 +260,10 @@ TEST(SupervisorTest, HeartbeatDropIsReapedNotTrusted) {
     config.faults.worker.drop_heartbeats_after = 4;
     clear_artifacts(config, shards);
     auto chip = fresh_chip();
-    Supervisor supervisor(chip, config, quick_supervision(shards));
+    Supervisor supervisor(chip, config, counted_supervision(shards));
     const auto report = supervisor.run(trials);
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+    EXPECT_EQ(report.shards_stolen, 0u);
     EXPECT_GE(report.hangs_killed, 1u);
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
@@ -266,7 +281,7 @@ TEST(SupervisorTest, RepeatedCrashQuarantinesThenOperatorResumeClears) {
   config.faults.worker.crash_at_trial = 2;
   config.faults.worker.repeat_incarnations = 99;
   clear_artifacts(config, 2);
-  auto supervision = quick_supervision(2);
+  auto supervision = counted_supervision(2);
   supervision.max_restarts = 2;
   {
     auto chip = fresh_chip();
@@ -275,6 +290,7 @@ TEST(SupervisorTest, RepeatedCrashQuarantinesThenOperatorResumeClears) {
     EXPECT_TRUE(report.campaign.aborted);
     EXPECT_EQ(report.campaign.abort_reason, "shard-quarantined");
     EXPECT_EQ(report.shards_quarantined, 1u);
+    EXPECT_EQ(report.shards_stolen, 0u);
     ASSERT_EQ(report.quarantined_shards.size(), 1u);
     // No canonical artifacts: the merge refuses an incomplete campaign.
     MergeOptions merge;
