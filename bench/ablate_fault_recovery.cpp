@@ -24,6 +24,7 @@
 
 #include "common.h"
 #include "fault/faulty_store.h"
+#include "runner/supervisor.h"
 #include "study/ber.h"
 #include "study/hc_first.h"
 #include "study/row_selection.h"
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
 
   std::vector<runner::CampaignRunner::Trial> trials;
   study::HcSearchConfig hc_config;
-  hc_config.incremental = !ctx.cli().has("--hc-scratch");
   for (int row : study::spread_rows(n_rows)) {
     trials.push_back(
         {"hcfirst:row" + std::to_string(row),
@@ -189,18 +189,40 @@ int main(int argc, char** argv) {
     return (dir / ("storage_" + tag + ext)).string();
   };
 
-  // Reference: the uninterrupted, fault-free checkpointed campaign.
-  const std::string ref_csv = artifact("ref", ".csv");
-  const std::string ref_jsonl = artifact("ref", ".jsonl");
-  {
+  // One checkpointed campaign on a fresh chip, storing through `store`
+  // (null = the plain file system). A storage failure leaves the artifacts
+  // as torn as it made them, for the next resume to recover.
+  enum class StorageRun { kDone, kAborted, kCrashed, kIoError };
+  const auto run_checkpointed = [&](const std::string& csv_path,
+                                    const std::string& jsonl_path,
+                                    bool resume,
+                                    std::shared_ptr<util::Store> store) {
     bender::HbmChip chip(profile);
     runner::RunnerConfig config;
     config.result_columns = {"value"};
-    config.results_path = ref_csv;
-    config.journal_path = ref_jsonl;
+    config.results_path = csv_path;
+    config.journal_path = jsonl_path;
+    config.resume = resume;
+    config.store = std::move(store);
     obs.attach(config);
     runner::CampaignRunner campaign(chip, config);
-    (void)bench::run_campaign_or_die(campaign, trials);
+    try {
+      return campaign.run(trials).aborted ? StorageRun::kAborted
+                                          : StorageRun::kDone;
+    } catch (const fault::StoreCrashError&) {
+      return StorageRun::kCrashed;
+    } catch (const runner::StoreError&) {
+      return StorageRun::kIoError;
+    }
+  };
+
+  // Reference: the uninterrupted, fault-free checkpointed campaign.
+  const std::string ref_csv = artifact("ref", ".csv");
+  const std::string ref_jsonl = artifact("ref", ".jsonl");
+  if (run_checkpointed(ref_csv, ref_jsonl, false, nullptr) !=
+      StorageRun::kDone) {
+    std::cerr << "reference campaign did not finish; every comparison "
+                 "against it reports DIFFER\n";
   }
 
   const std::vector<StorageScenario> storage_scenarios = {
@@ -224,12 +246,6 @@ int main(int argc, char** argv) {
     int resumes = 0, crashes = 0, io_errors = 0;
     bool done = false;
     for (int incarnation = 0; incarnation < 400 && !done; ++incarnation) {
-      bender::HbmChip chip(profile);
-      runner::RunnerConfig config;
-      config.result_columns = {"value"};
-      config.results_path = csv_path;
-      config.journal_path = jsonl_path;
-      config.resume = incarnation > 0;
       if (incarnation > 0) ++resumes;
       // The faulty store is built here (not via config.faults.store) so the
       // fault schedule can be re-seeded per incarnation: a fixed seed keyed
@@ -239,19 +255,16 @@ int main(int argc, char** argv) {
       fault::StoreFaultConfig store_faults;
       store_faults.write_error_rate = scenario.write_error_rate;
       store_faults.crash_at_write = scenario.crash_every;
-      config.store = std::make_shared<fault::FaultyStore>(
-          util::default_store(),
-          config.faults.seed + static_cast<std::uint64_t>(incarnation),
-          store_faults);
-      obs.attach(config);
-      runner::CampaignRunner campaign(chip, config);
-      try {
-        done = !campaign.run(trials).aborted;
-      } catch (const fault::StoreCrashError&) {
-        ++crashes;
-      } catch (const runner::StoreError&) {
-        ++io_errors;
-      }
+      const auto outcome = run_checkpointed(
+          csv_path, jsonl_path, incarnation > 0,
+          std::make_shared<fault::FaultyStore>(
+              util::default_store(),
+              fault::FaultPlanConfig{}.seed +
+                  static_cast<std::uint64_t>(incarnation),
+              store_faults));
+      done = outcome == StorageRun::kDone;
+      if (outcome == StorageRun::kCrashed) ++crashes;
+      if (outcome == StorageRun::kIoError) ++io_errors;
     }
     const bool csv_same = done && slurp(csv_path) == slurp(ref_csv);
     const bool jsonl_same = done && slurp(jsonl_path) == slurp(ref_jsonl);

@@ -24,22 +24,8 @@
 #include "study/hc_first.h"
 #include "study/row_selection.h"
 
-namespace {
-
-using namespace hbmrd;
-
-/// Per-chip checkpoint path: "out.csv" -> "out.chip3.csv".
-std::string per_chip_path(const std::string& path, int chip_index) {
-  if (path.empty()) return path;
-  const auto dot = path.rfind('.');
-  const std::string tag = ".chip" + std::to_string(chip_index);
-  if (dot == std::string::npos || dot == 0) return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace hbmrd;
   bench::BenchContext ctx(argc, argv,
                           "Attack/defense arena (multi-tenant leaderboard)");
   const auto windows = static_cast<std::uint64_t>(
@@ -53,7 +39,7 @@ int main(int argc, char** argv) {
   const auto chips = ctx.cli().has("--chip") ? ctx.chips()
                                              : std::vector<int>{1, 4};
 
-  bench::CampaignObservability obs(ctx.cli());
+  bench::SweepDriver sweeps(ctx);
 
   for (int chip_index : chips) {
     auto& chip = ctx.platform().chip(chip_index);
@@ -68,10 +54,7 @@ int main(int argc, char** argv) {
     if (threshold == 0) {
       std::uint64_t sampled_min = ~0ull;
       for (int row : study::spread_rows(4)) {
-        study::HcSearchConfig hc_config;
-        hc_config.incremental = !ctx.cli().has("--hc-scratch");
-        const auto hc = study::find_hc_first(chip, map, {{0, 0, 0}, row},
-                                             hc_config);
+        const auto hc = study::find_hc_first(chip, map, {{0, 0, 0}, row}, {});
         if (hc) sampled_min = std::min(sampled_min, *hc);
       }
       threshold = std::max<std::uint64_t>(512, sampled_min / 4);
@@ -100,18 +83,13 @@ int main(int argc, char** argv) {
 
     const auto defenses = arena::defense_catalogue(threshold);
 
-    auto config =
-        bench::campaign_config(ctx.cli(), arena::leaderboard_columns());
-    config.results_path = per_chip_path(config.results_path, chip_index);
-    config.journal_path = per_chip_path(config.journal_path, chip_index);
-    obs.attach(config);
-    runner::CampaignRunner campaign(chip, config);
-
-    std::vector<runner::CampaignRunner::Trial> trials;
+    bench::Sweep sweep{.chip_index = chip_index,
+                       .columns = arena::leaderboard_columns(),
+                       .per_chip_artifacts = true};
     for (std::size_t p = 0; p < scenarios.size(); ++p) {
       for (const arena::DefenseSpec& spec : defenses) {
         const arena::Scenario& scenario = scenarios[p];
-        trials.push_back(
+        sweep.trials.push_back(
             {scenario.attack_name + "|" + spec.name,
              [&scenario, &spec](
                  bender::ChipSession& session) -> std::vector<std::string> {
@@ -122,87 +100,79 @@ int main(int argc, char** argv) {
              }});
       }
     }
-    const auto report = bench::run_campaign_or_die(ctx, campaign, trials);
-    if (report.aborted && report.abort_reason == "shard-skip") continue;
 
-    if (obs.metrics() != nullptr) {
-      arena::fold_metrics(*obs.metrics(), report.records);
-    }
+    const auto reduce = [&](const std::vector<runner::TrialRecord>& records) {
+      if (sweeps.metrics() != nullptr) {
+        arena::fold_metrics(*sweeps.metrics(), records);
+      }
 
-    // The leaderboard: defenses ranked by (bitflips leaked, slowdown).
-    struct Aggregate {
-      std::uint64_t leaked = 0;
-      std::uint64_t undefended = 0;
-      double worst_slowdown = 1.0;
-      double refresh_per_kilo_act = 0.0;
-      std::uint64_t stalled = 0;
-      int matches = 0;
+      // The leaderboard: defenses ranked by (bitflips leaked, slowdown).
+      struct Aggregate {
+        std::uint64_t leaked = 0;
+        std::uint64_t undefended = 0;
+        double worst_slowdown = 1.0;
+        double refresh_per_kilo_act = 0.0;
+        std::uint64_t stalled = 0;
+        int matches = 0;
+      };
+      std::map<std::string, Aggregate> aggregates;
+      util::Table matches({"Pattern", "Defense", "flips leaked",
+                           "flips undefended", "slowdown",
+                           "refreshes / 1K ACTs", "stalled ACTs"});
+      for (const auto& record : records) {
+        if (record.cells.empty()) continue;
+        const auto score = arena::score_from_cells(record.cells);
+        matches.row()
+            .cell(score.pattern)
+            .cell(score.defense)
+            .cell(score.flips_leaked)
+            .cell(score.flips_undefended)
+            .cell(util::format_double(score.slowdown, 3) + "x")
+            .cell(score.refresh_per_kilo_act, 2)
+            .cell(score.stalled_acts);
+        auto& aggregate = aggregates[score.defense];
+        aggregate.leaked += score.flips_leaked;
+        aggregate.undefended += score.flips_undefended;
+        aggregate.worst_slowdown =
+            std::max(aggregate.worst_slowdown, score.slowdown);
+        aggregate.refresh_per_kilo_act += score.refresh_per_kilo_act;
+        aggregate.stalled += score.stalled_acts;
+        ++aggregate.matches;
+      }
+      matches.print(std::cout);
+
+      ctx.banner("Leaderboard (" + chip.profile().label + ")");
+      std::vector<std::pair<std::string, Aggregate>> ranked(aggregates.begin(),
+                                                            aggregates.end());
+      std::sort(ranked.begin(), ranked.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.second.leaked != b.second.leaked) {
+                    return a.second.leaked < b.second.leaked;
+                  }
+                  if (a.second.worst_slowdown != b.second.worst_slowdown) {
+                    return a.second.worst_slowdown < b.second.worst_slowdown;
+                  }
+                  return a.first < b.first;
+                });
+      util::Table board({"Rank", "Defense", "flips leaked (total)",
+                         "worst slowdown", "mean refreshes / 1K ACTs",
+                         "stalled ACTs"});
+      int rank = 1;
+      for (const auto& [name, aggregate] : ranked) {
+        board.row()
+            .cell(rank++)
+            .cell(name)
+            .cell(aggregate.leaked)
+            .cell(util::format_double(aggregate.worst_slowdown, 3) + "x")
+            .cell(aggregate.matches == 0
+                      ? 0.0
+                      : aggregate.refresh_per_kilo_act / aggregate.matches,
+                  2)
+            .cell(aggregate.stalled);
+      }
+      board.print(std::cout);
     };
-    std::map<std::string, Aggregate> aggregates;
-    util::Table matches({"Pattern", "Defense", "flips leaked",
-                         "flips undefended", "slowdown",
-                         "refreshes / 1K ACTs", "stalled ACTs"});
-    for (const auto& record : report.records) {
-      if (record.cells.empty()) continue;
-      const auto score = arena::score_from_cells(record.cells);
-      matches.row()
-          .cell(score.pattern)
-          .cell(score.defense)
-          .cell(score.flips_leaked)
-          .cell(score.flips_undefended)
-          .cell(util::format_double(score.slowdown, 3) + "x")
-          .cell(score.refresh_per_kilo_act, 2)
-          .cell(score.stalled_acts);
-      auto& aggregate = aggregates[score.defense];
-      aggregate.leaked += score.flips_leaked;
-      aggregate.undefended += score.flips_undefended;
-      aggregate.worst_slowdown =
-          std::max(aggregate.worst_slowdown, score.slowdown);
-      aggregate.refresh_per_kilo_act += score.refresh_per_kilo_act;
-      aggregate.stalled += score.stalled_acts;
-      ++aggregate.matches;
-    }
-    matches.print(std::cout);
-
-    ctx.banner("Leaderboard (" + chip.profile().label + ")");
-    std::vector<std::pair<std::string, Aggregate>> ranked(aggregates.begin(),
-                                                          aggregates.end());
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second.leaked != b.second.leaked) {
-                  return a.second.leaked < b.second.leaked;
-                }
-                if (a.second.worst_slowdown != b.second.worst_slowdown) {
-                  return a.second.worst_slowdown < b.second.worst_slowdown;
-                }
-                return a.first < b.first;
-              });
-    util::Table board({"Rank", "Defense", "flips leaked (total)",
-                       "worst slowdown", "mean refreshes / 1K ACTs",
-                       "stalled ACTs"});
-    int rank = 1;
-    for (const auto& [name, aggregate] : ranked) {
-      board.row()
-          .cell(rank++)
-          .cell(name)
-          .cell(aggregate.leaked)
-          .cell(util::format_double(aggregate.worst_slowdown, 3) + "x")
-          .cell(aggregate.matches == 0
-                    ? 0.0
-                    : aggregate.refresh_per_kilo_act / aggregate.matches,
-                2)
-          .cell(aggregate.stalled);
-    }
-    board.print(std::cout);
-    bench::print_campaign_report(std::cout, report,
-                                 campaign.session().stats());
-    if (report.aborted) return 2;
+    sweeps.run(sweep, reduce);
   }
-
-  if (ctx.cli().has("--shard-worker")) {
-    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
-    return runner::shard_exit::kError;
-  }
-  obs.finish();
-  return 0;
+  return sweeps.finish();
 }

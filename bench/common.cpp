@@ -8,6 +8,7 @@
 #include "fault/faulty_store.h"
 #include "runner/checkpoint.h"
 #include "runner/merge.h"
+#include "runner/supervisor.h"
 #include "serve/export.h"
 #include "util/store.h"
 
@@ -190,6 +191,10 @@ void CampaignObservability::finish() {
   std::cout << "(metrics snapshot written to " << metrics_out_ << ")\n";
 }
 
+namespace {
+
+/// The campaign RunnerConfig of the shared resilience flags (kHelpText's
+/// "Campaign" and "Storage" sections).
 runner::RunnerConfig campaign_config(const util::Cli& cli,
                                      std::vector<std::string> result_columns) {
   runner::RunnerConfig config;
@@ -227,26 +232,21 @@ runner::RunnerConfig campaign_config(const util::Cli& cli,
   return config;
 }
 
-namespace {
+/// Per-chip artifact path: "out.csv" -> "out.chip3.csv".
+std::string per_chip_path(const std::string& path, int chip_index) {
+  if (path.empty()) return path;
+  const auto dot = path.rfind('.');
+  const std::string tag = ".chip" + std::to_string(chip_index);
+  if (dot == std::string::npos || dot == 0) return path + tag;
+  return path.substr(0, dot) + tag + path.substr(dot);
+}
 
 /// `--shard-worker` mode: the supervisor re-invoked this harness to run
-/// one shard of one campaign. If `campaign` is the one named by
-/// `--shard-campaign`, run its [--shard-lo, --shard-hi) slice against the
-/// per-shard store and exit with the shard_exit verdict; otherwise return
-/// a "shard-skip" report so a multi-campaign harness (fig06's per-chip
-/// loop) can move on to the campaign the supervisor meant.
-runner::CampaignReport run_shard_worker(
-    const util::Cli& cli, runner::CampaignRunner& campaign,
+/// the [--shard-lo, --shard-hi) slice of one sweep against the per-shard
+/// store; exits with the shard_exit verdict.
+[[noreturn]] void run_shard_worker(
+    const util::Cli& cli, bender::HbmChip& chip, runner::RunnerConfig config,
     const std::vector<runner::CampaignRunner::Trial>& trials) {
-  if (campaign.config().results_path !=
-      cli.get_string("--shard-campaign", "")) {
-    runner::CampaignReport skip;
-    skip.aborted = true;
-    skip.abort_reason = "shard-skip";
-    return skip;
-  }
-
-  auto config = campaign.config();
   config.results_path = cli.get_string("--shard-results", "");
   config.journal_path = cli.get_string("--shard-journal", "");
   config.resume = cli.has("--shard-resume");
@@ -267,7 +267,7 @@ runner::CampaignReport run_shard_worker(
 
   int code = runner::shard_exit::kError;
   try {
-    runner::CampaignRunner worker(campaign.chip(), config);
+    runner::CampaignRunner worker(chip, config);
     const auto report = worker.run(trials);
     if (!report.aborted) {
       code = runner::shard_exit::kComplete;
@@ -285,9 +285,10 @@ runner::CampaignReport run_shard_worker(
 /// `--export-index F`: derive a .hbmidx query index (docs/SERVING.md)
 /// from the campaign's committed results CSV. Rung-1 (HC_first) data
 /// comes straight from the fig07-style columns; the index identity is
-/// the harness's (--seed, --chip) pair.
+/// the (--seed, sweep chip) pair.
 void export_index_from_results(const util::Cli& cli,
-                               const std::string& results_path) {
+                               const std::string& results_path,
+                               int chip_index) {
   const auto index_path = cli.get_string("--export-index", "");
   if (index_path.empty()) return;
   if (results_path.empty()) {
@@ -297,7 +298,7 @@ void export_index_from_results(const util::Cli& cli,
   serve::ExportSpec spec;
   spec.platform_seed = static_cast<std::uint64_t>(cli.get_int(
       "--seed", static_cast<std::int64_t>(spec.platform_seed)));
-  spec.chip_index = static_cast<std::uint32_t>(cli.get_int("--chip", 1));
+  spec.chip_index = static_cast<std::uint32_t>(chip_index);
   // Campaign CSVs carry HC_first only; one rung keeps records compact
   // (deeper hc_nth queries fall back to live simulation and are
   // recorded in the server's overlay).
@@ -317,63 +318,8 @@ void export_index_from_results(const util::Cli& cli,
   }
 }
 
-runner::CampaignReport run_supervised(
-    BenchContext& ctx, runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials,
-    std::uint64_t shards) {
-  const auto& cli = ctx.cli();
-  runner::SupervisorConfig config;
-  config.shards = shards;
-  config.hang_timeout_s = cli.get_double("--hang-timeout", 30.0);
-  config.max_restarts = static_cast<int>(cli.get_int("--max-restarts", 5));
-  config.worker_argv = ctx.argv();
-  // Export from the post-merge hook: the canonical CSV exists and just
-  // passed the merge's completeness checks when this runs.
-  const auto results_path = campaign.config().results_path;
-  config.on_merged = [&cli, results_path](const runner::MergeReport&) {
-    export_index_from_results(cli, results_path);
-  };
-  runner::Supervisor supervisor(campaign.chip(), campaign.config(), config);
-  const auto report = supervisor.run(trials);
-  print_supervisor_report(std::cout, report);
-  return report.campaign;
-}
-
-}  // namespace
-
-runner::CampaignReport run_campaign_or_die(
-    BenchContext& ctx, runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials) {
-  const auto& cli = ctx.cli();
-  try {
-    if (cli.has("--shard-worker")) {
-      return run_shard_worker(cli, campaign, trials);
-    }
-    const auto shards =
-        static_cast<std::uint64_t>(cli.get_int("--shards", 1));
-    runner::install_graceful_stop();
-    if (shards > 1) return run_supervised(ctx, campaign, trials, shards);
-    const auto report = campaign.run(trials);
-    if (!report.aborted) {
-      export_index_from_results(cli, campaign.config().results_path);
-    }
-    return report;
-  } catch (const runner::CheckpointMismatchError& error) {
-    std::cerr << "error: " << error.what() << "\n";
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-  } catch (const runner::StoreError& error) {
-    std::cerr << "error: campaign storage failed: " << error.what()
-              << "\n(committed state is intact; rerun with --resume once "
-                 "the storage problem is fixed)\n";
-  } catch (const fault::StoreCrashError& error) {
-    std::cerr << "error: " << error.what()
-              << "\n(artifacts left in their torn post-crash state; rerun "
-                 "with --resume to recover)\n";
-  }
-  std::exit(2);
-}
-
+/// Prints the supervision summary of a sharded campaign (spawns,
+/// restarts, crashes, watchdog kills, steals, quarantines).
 void print_supervisor_report(std::ostream& out,
                              const runner::SupervisorReport& report) {
   out << "Supervisor: " << report.shards << " shard(s) -> "
@@ -388,13 +334,59 @@ void print_supervisor_report(std::ostream& out,
   }
 }
 
-runner::CampaignReport run_campaign_or_die(
-    runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials) {
+/// Runs the sweep's campaign and turns storage/config failures into
+/// actionable diagnostics: CheckpointMismatchError (stale --resume target)
+/// and StoreError (I/O failure; committed state intact) print their
+/// message and exit(2) instead of dumping an uncaught-exception backtrace.
+/// Also installs the graceful-stop handler: SIGTERM/SIGINT checkpoint-flush
+/// at the next commit boundary and the report comes back aborted
+/// ("signal") with no torn tail, ready for --resume.
+///
+/// `--shards N` (N > 1) runs the campaign under the process supervisor
+/// (runner/supervisor.h): the harness binary is re-invoked per shard in
+/// `--shard-worker` mode, crashed/hung workers restart from their shard
+/// checkpoint, and the merged artifacts are byte-identical to the
+/// unsharded run. `--hang-timeout S` and `--max-restarts N` tune the
+/// watchdog. The faults of a supervised run happen in the worker
+/// processes, so `stats` stays empty.
+runner::CampaignReport run_campaign_or_die(BenchContext& ctx,
+                                           const runner::RunnerConfig& config,
+                                           const Sweep& sweep,
+                                           fault::FaultyChip::Stats& stats) {
+  const auto& cli = ctx.cli();
+  auto& chip = ctx.platform().chip(sweep.chip_index);
+  const auto export_index = [&cli, &config, &sweep] {
+    export_index_from_results(cli, config.results_path, sweep.chip_index);
+  };
   try {
     runner::install_graceful_stop();
-    return campaign.run(trials);
+    const auto shards =
+        static_cast<std::uint64_t>(cli.get_int("--shards", 1));
+    if (shards > 1) {
+      runner::SupervisorConfig supervision;
+      supervision.shards = shards;
+      supervision.hang_timeout_s = cli.get_double("--hang-timeout", 30.0);
+      supervision.max_restarts =
+          static_cast<int>(cli.get_int("--max-restarts", 5));
+      supervision.worker_argv = ctx.argv();
+      // Export from the post-merge hook: the canonical CSV exists and just
+      // passed the merge's completeness checks when this runs.
+      supervision.on_merged = [&](const runner::MergeReport&) {
+        export_index();
+      };
+      runner::Supervisor supervisor(chip, config, supervision);
+      const auto report = supervisor.run(sweep.trials);
+      print_supervisor_report(std::cout, report);
+      return report.campaign;
+    }
+    runner::CampaignRunner campaign(chip, config);
+    const auto report = campaign.run(sweep.trials);
+    stats = campaign.session().stats();
+    if (!report.aborted) export_index();
+    return report;
   } catch (const runner::CheckpointMismatchError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+  } catch (const std::invalid_argument& error) {
     std::cerr << "error: " << error.what() << "\n";
   } catch (const runner::StoreError& error) {
     std::cerr << "error: campaign storage failed: " << error.what()
@@ -411,6 +403,8 @@ runner::CampaignReport run_campaign_or_die(
   std::exit(2);
 }
 
+/// Prints the resilience summary of a finished campaign (completion,
+/// retries, quarantines, injected faults, guard/backoff waits).
 void print_campaign_report(std::ostream& out,
                            const runner::CampaignReport& report,
                            const fault::FaultyChip::Stats& stats) {
@@ -451,6 +445,69 @@ void print_campaign_report(std::ostream& out,
   for (const auto& key : report.quarantined_keys()) {
     out << "  quarantined: " << key << "\n";
   }
+}
+
+}  // namespace
+
+SweepDriver::SweepDriver(BenchContext& ctx) : ctx_(ctx), obs_(ctx.cli()) {}
+
+std::optional<runner::CampaignReport> SweepDriver::run(const Sweep& sweep,
+                                                       const Reducer& reduce) {
+  const auto& cli = ctx_.cli();
+  auto config = campaign_config(cli, sweep.columns);
+  if (sweep.per_chip_artifacts) {
+    config.results_path = per_chip_path(config.results_path, sweep.chip_index);
+    config.journal_path = per_chip_path(config.journal_path, sweep.chip_index);
+  }
+  obs_.attach(config);
+  if (cli.has("--shard-worker")) {
+    // The supervisor names its sweep by results path; skip the others.
+    if (config.results_path != cli.get_string("--shard-campaign", "")) {
+      return std::nullopt;
+    }
+    run_shard_worker(cli, ctx_.platform().chip(sweep.chip_index), config,
+                     sweep.trials);
+  }
+
+  fault::FaultyChip::Stats stats;
+  auto report = run_campaign_or_die(ctx_, config, sweep, stats);
+  reduce(report.records);
+  print_campaign_report(std::cout, report, stats);
+  if (report.aborted) {
+    obs_.finish();
+    std::exit(2);
+  }
+  return report;
+}
+
+std::optional<std::vector<double>> SweepDriver::numbers(
+    const runner::TrialRecord& record,
+    std::initializer_list<std::size_t> columns) {
+  std::vector<double> values;
+  for (const auto column : columns) {
+    const auto value = column < record.cells.size()
+                           ? util::parse_double(record.cells[column])
+                           : std::nullopt;
+    if (!value) {
+      std::cerr << "warning: skipping checkpoint record '" << record.key
+                << "' with unparsable payload cells\n";
+      if (obs_.metrics() != nullptr) {
+        obs_.metrics()->add("bench.skipped_records", 1);
+      }
+      return std::nullopt;
+    }
+    values.push_back(*value);
+  }
+  return values;
+}
+
+int SweepDriver::finish() {
+  if (ctx_.cli().has("--shard-worker")) {
+    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
+    return runner::shard_exit::kError;
+  }
+  obs_.finish();
+  return 0;
 }
 
 std::string ber_pct(double ber, int precision) {

@@ -6,8 +6,11 @@
 // to the paper-reported reference values, and exits 0.
 #pragma once
 
+#include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,6 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "runner/runner.h"
-#include "runner/supervisor.h"
 #include "study/address_map.h"
 #include "util/cli.h"
 #include "util/csv.h"
@@ -115,67 +117,58 @@ class CampaignObservability {
 /// Formats a BER as a percentage string.
 [[nodiscard]] std::string ber_pct(double ber, int precision = 3);
 
-/// Builds a campaign RunnerConfig from the shared resilience flags:
-///   --jobs N           worker threads (byte-identical output for any N)
-///   --results FILE     checkpointed results CSV (resumable)
-///   --journal FILE     JSONL fault/retry journal
-///   --resume           skip trials already committed in --results
-///   --stop-after N     checkpoint + stop after N trials (kill point)
-///   --fault-rate R     per-attempt transient-fault probability
-///   --thermal-rate R   per-trial thermal-excursion probability
-///   --persistent-rate R  per-trial persistent-fault probability
-///   --fatal-rate R     per-trial host-crash probability
-///   --fault-seed N     fault plan seed (decoupled from --seed)
-///   --no-guard         disable the temperature guard band
-///   --worker-crash-trial K / --worker-hang-trial K /
-///   --worker-heartbeat-drop K / --worker-crash-repeats N
-///                      injected worker-process fault schedule (fires in
-///                      shard-worker mode only; fault::WorkerFaultConfig)
-///   --durable-every N  fsync journal + checkpoint every N trials
-///   --store-fault-rate R   injected I/O error probability per write
-///   --store-crash-write N  simulate power loss at the Nth write
-///   --store-crash-fsync N  simulate power loss at the Nth fsync
-[[nodiscard]] runner::RunnerConfig campaign_config(
-    const util::Cli& cli, std::vector<std::string> result_columns);
+/// One campaign sweep: the chip it runs on, its result columns and its
+/// trial list (docs/ARCHITECTURE.md, "Campaign harness shape").
+struct Sweep {
+  int chip_index = 0;
+  std::vector<std::string> columns;
+  std::vector<runner::CampaignRunner::Trial> trials = {};
+  /// One checkpoint per chip, for harnesses that sweep several chips:
+  /// "--results out.csv" becomes "out.chipN.csv" (likewise the journal).
+  bool per_chip_artifacts = false;
+};
 
-/// Runs the campaign, turning storage/config failures into actionable
-/// diagnostics: CheckpointMismatchError (stale --resume target) and
-/// StoreError (I/O failure; committed state intact) print their message
-/// and exit(2) instead of dumping an uncaught-exception backtrace. Also
-/// installs the graceful-stop handler: SIGTERM/SIGINT checkpoint-flush at
-/// the next commit boundary and the report comes back aborted ("signal")
-/// with no torn tail, ready for --resume.
-[[nodiscard]] runner::CampaignReport run_campaign_or_die(
-    runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials);
+/// Runs a harness's sweeps through the resilient campaign runner and owns
+/// everything the campaign flags (--help, "Campaign flags" onwards) ask of
+/// it: the runner config, --shards supervision, --shard-worker slices,
+/// --export-index, --metrics-out/--progress, the campaign report and the
+/// exit code of an aborted campaign.
+class SweepDriver {
+ public:
+  /// Reduces a sweep's committed records (freshly measured and resumed
+  /// alike, in trial order) into the harness's tables.
+  using Reducer =
+      std::function<void(const std::vector<runner::TrialRecord>&)>;
 
-/// The context-aware variant used by the sharded campaign harnesses
-/// (fig06/fig07/fig14): in addition to the above,
-///   * `--shards N` (N > 1) runs the campaign under the process
-///     supervisor (runner/supervisor.h): the harness binary is re-invoked
-///     per shard in `--shard-worker` mode, crashed/hung workers are
-///     restarted from their shard checkpoint, and the merged artifacts
-///     are byte-identical to the unsharded run. `--hang-timeout S` and
-///     `--max-restarts N` tune the watchdog;
-///   * `--shard-worker` (set by the supervisor, not by hand) runs just
-///     this campaign's [--shard-lo, --shard-hi) slice against the
-///     per-shard store and exits with a runner::shard_exit code. When the
-///     harness runs several campaigns (fig06's per-chip loop) the
-///     non-matching ones return a report aborted with reason
-///     "shard-skip" — the caller must skip it and continue.
-[[nodiscard]] runner::CampaignReport run_campaign_or_die(
-    BenchContext& ctx, runner::CampaignRunner& campaign,
-    const std::vector<runner::CampaignRunner::Trial>& trials);
+  explicit SweepDriver(BenchContext& ctx);
 
-/// Prints the supervision summary of a sharded campaign (spawns,
-/// restarts, crashes, watchdog kills, steals, quarantines).
-void print_supervisor_report(std::ostream& out,
-                             const runner::SupervisorReport& report);
+  /// Runs `sweep`, hands its records to `reduce` and prints the campaign
+  /// report. An aborted campaign (checkpoint committed; rerun with
+  /// --resume) or a storage/config failure exits the process with 2.
+  /// Returns nullopt, running nothing, when this process is a shard worker
+  /// spawned for another sweep of the same harness.
+  std::optional<runner::CampaignReport> run(const Sweep& sweep,
+                                            const Reducer& reduce);
 
-/// Prints the resilience summary of a finished campaign (completion,
-/// retries, quarantines, injected faults, guard/backoff waits).
-void print_campaign_report(std::ostream& out,
-                           const runner::CampaignReport& report,
-                           const fault::FaultyChip::Stats& stats);
+  /// The numeric payload cells `columns` of `record`, or nullopt when one
+  /// does not parse: a resumed checkpoint can surface damaged cells. Such
+  /// records are skipped with a warning and counted in
+  /// bench.skipped_records.
+  std::optional<std::vector<double>> numbers(
+      const runner::TrialRecord& record,
+      std::initializer_list<std::size_t> columns);
+
+  /// The shared registry, or null when observability is disabled.
+  [[nodiscard]] obs::MetricsRegistry* metrics() { return obs_.metrics(); }
+
+  /// Writes the --metrics-out snapshot and returns the harness's exit
+  /// code. A shard worker that gets here matched none of the sweeps (a
+  /// supervisor/harness path mismatch) and fails.
+  [[nodiscard]] int finish();
+
+ private:
+  BenchContext& ctx_;
+  CampaignObservability obs_;
+};
 
 }  // namespace hbmrd::bench

@@ -11,19 +11,6 @@
 #include "study/ber.h"
 #include "study/row_selection.h"
 
-namespace {
-
-/// Per-chip checkpoint path: "out.csv" -> "out.chip3.csv".
-std::string per_chip_path(const std::string& path, int chip_index) {
-  if (path.empty()) return path;
-  const auto dot = path.rfind('.');
-  const std::string tag = ".chip" + std::to_string(chip_index);
-  if (dot == std::string::npos || dot == 0) return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hbmrd;
   bench::BenchContext ctx(argc, argv, "Fig. 6: BER across channels");
@@ -32,27 +19,23 @@ int main(int argc, char** argv) {
                                              : std::vector<int>{0, 1, 4, 5};
   const auto pattern = study::DataPattern::kCheckered0;
 
-  // One observability bundle across all per-chip campaigns: deterministic
-  // counters accumulate, and the snapshot is written once at the end.
-  bench::CampaignObservability obs(ctx.cli());
+  // One driver across all per-chip sweeps: deterministic counters
+  // accumulate, and the metrics snapshot is written once at the end.
+  bench::SweepDriver sweeps(ctx);
 
   std::vector<double> chip_means;
   std::vector<double> within_chip_spreads;
   for (int chip_index : chips) {
-    auto& chip = ctx.platform().chip(chip_index);
+    const auto& chip = ctx.platform().chip(chip_index);
     const auto& map = ctx.map_of(chip_index);
     ctx.banner(chip.profile().label + " (" + study::to_string(pattern) + ")");
 
-    auto config = bench::campaign_config(ctx.cli(), {"channel", "row", "ber"});
-    config.results_path = per_chip_path(config.results_path, chip_index);
-    config.journal_path = per_chip_path(config.journal_path, chip_index);
-    obs.attach(config);
-    runner::CampaignRunner campaign(chip, config);
-
-    std::vector<runner::CampaignRunner::Trial> trials;
+    bench::Sweep sweep{.chip_index = chip_index,
+                       .columns = {"channel", "row", "ber"},
+                       .per_chip_artifacts = true};
     for (int ch = 0; ch < dram::kChannels; ++ch) {
       for (int row : study::spread_rows(n_rows)) {
-        trials.push_back(
+        sweep.trials.push_back(
             {"ch" + std::to_string(ch) + ":row" + std::to_string(row),
              [&map, ch, row, pattern](
                  bender::ChipSession& session) -> std::vector<std::string> {
@@ -65,45 +48,36 @@ int main(int argc, char** argv) {
              }});
       }
     }
-    const auto report = bench::run_campaign_or_die(ctx, campaign, trials);
-    if (report.aborted && report.abort_reason == "shard-skip") {
-      // A --shard-worker invocation targeting another chip's campaign;
-      // keep walking the per-chip loop until the target runs (and exits).
-      continue;
-    }
 
-    util::Table table({"Channel", "die", "mean BER", "max BER"});
     std::vector<double> channel_means;
     double total = 0.0;
-    for (int ch = 0; ch < dram::kChannels; ++ch) {
-      std::vector<double> bers;
-      for (const auto& record : report.records) {
-        if (record.cells.size() == 3 &&
-            record.cells[0] == std::to_string(ch) &&
-            !record.cells[2].empty()) {
-          // Resumed checkpoints can surface damaged payload cells; skip
-          // them rather than letting std::stod throw out of the analysis.
-          if (const auto ber = util::parse_double(record.cells[2])) {
-            bers.push_back(*ber);
-          } else if (obs.metrics() != nullptr) {
-            obs.metrics()->add("bench.skipped_records", 1);
+    const auto reduce = [&](const std::vector<runner::TrialRecord>& records) {
+      util::Table table({"Channel", "die", "mean BER", "max BER"});
+      for (int ch = 0; ch < dram::kChannels; ++ch) {
+        std::vector<double> bers;
+        for (const auto& record : records) {
+          if (record.cells.size() == 3 &&
+              record.cells[0] == std::to_string(ch) &&
+              !record.cells[2].empty()) {
+            if (const auto ber = sweeps.numbers(record, {2})) {
+              bers.push_back(ber->front());
+            }
           }
         }
+        if (bers.empty()) continue;
+        const double mean = util::mean(bers);
+        channel_means.push_back(mean);
+        total += mean;
+        table.row()
+            .cell("CH" + std::to_string(ch))
+            .cell(dram::die_of_channel(ch))
+            .cell(bench::ber_pct(mean))
+            .cell(bench::ber_pct(util::max_of(bers)));
       }
-      if (bers.empty()) continue;
-      const double mean = util::mean(bers);
-      channel_means.push_back(mean);
-      total += mean;
-      table.row()
-          .cell("CH" + std::to_string(ch))
-          .cell(dram::die_of_channel(ch))
-          .cell(bench::ber_pct(mean))
-          .cell(bench::ber_pct(util::max_of(bers)));
-    }
-    table.print(std::cout);
-    bench::print_campaign_report(std::cout, report,
-                                 campaign.session().stats());
-    if (report.aborted) return 2;
+      table.print(std::cout);
+    };
+    if (!sweeps.run(sweep, reduce)) continue;  // another shard's sweep
+
     const double spread =
         util::max_of(channel_means) - util::min_of(channel_means);
     within_chip_spreads.push_back(spread);
@@ -114,13 +88,6 @@ int main(int argc, char** argv) {
                                                   1e-9),
                                      2)
               << "x, spread " << bench::ber_pct(spread) << "\n";
-  }
-
-  if (ctx.cli().has("--shard-worker")) {
-    // A worker that fell through the loop never found its target
-    // campaign: a supervisor/harness path mismatch, not shard work done.
-    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
-    return runner::shard_exit::kError;
   }
 
   ctx.banner("Paper reference points (Obsv. 8, 10, 11, Takeaway 3)");
@@ -137,6 +104,5 @@ int main(int argc, char** argv) {
   }
   ctx.compare("channel pairs behave alike (shared die)",
               "CH3/CH4-style grouping", "compare die column per chip");
-  obs.finish();
-  return 0;
+  return sweeps.finish();
 }

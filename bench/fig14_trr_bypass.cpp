@@ -32,13 +32,10 @@ int main(int argc, char** argv) {
     victims.push_back(row);
   }
 
-  bench::CampaignObservability obs(ctx.cli());
-  auto config = bench::campaign_config(
-      ctx.cli(),
-      {"dummies", "aggr_acts", "row", "acts_per_dummy", "ber", "flips"});
-  obs.attach(config);
-  runner::CampaignRunner campaign(chip, config);
-  std::vector<runner::CampaignRunner::Trial> trials;
+  bench::SweepDriver sweeps(ctx);
+  bench::Sweep sweep{.chip_index = chip_index,
+                     .columns = {"dummies", "aggr_acts", "row",
+                                 "acts_per_dummy", "ber", "flips"}};
   for (int dummies : dummy_counts) {
     for (int acts : aggressor_acts) {
       for (int row : victims) {
@@ -46,7 +43,7 @@ int main(int argc, char** argv) {
         config.dummy_rows = dummies;
         config.aggressor_acts = acts;
         config.windows = windows;
-        trials.push_back(
+        sweep.trials.push_back(
             {"d" + std::to_string(dummies) + ":a" + std::to_string(acts) +
                  ":row" + std::to_string(row),
              [&map, dummies, acts, row, config](
@@ -62,71 +59,60 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto report = bench::run_campaign_or_die(ctx, campaign, trials);
 
-  util::Table table({"dummies", "aggr acts", "acts/dummy", "mean BER",
-                     "max BER", "rows w/ flips"});
   double mean_at_18 = 0, mean_at_24 = 0, mean_at_30 = 0, mean_at_34 = 0;
   int min_dummies_with_flips = 99;
-  for (int dummies : dummy_counts) {
-    for (int acts : aggressor_acts) {
-      std::vector<double> bers;
-      int rows_with_flips = 0;
-      long long acts_per_dummy = 0;
-      for (const auto& record : report.records) {
-        if (record.cells.size() != 6 ||
-            record.cells[0] != std::to_string(dummies) ||
-            record.cells[1] != std::to_string(acts) ||
-            record.cells[4].empty()) {
-          continue;
-        }
-        // A resumed checkpoint can surface a record whose payload cells are
-        // damaged (e.g. hand-edited or partially recovered): skip it with a
-        // warning instead of letting std::stoll/stod/stoi throw out of the
-        // aggregation loop.
-        const auto apd = util::parse_i64(record.cells[3]);
-        const auto ber = util::parse_double(record.cells[4]);
-        const auto flips = util::parse_i64(record.cells[5]);
-        if (!apd || !ber || !flips) {
-          std::cerr << "warning: skipping checkpoint record '" << record.key
-                    << "' with unparsable payload cells\n";
-          if (obs.metrics() != nullptr) {
-            obs.metrics()->add("bench.skipped_records", 1);
+  const auto reduce = [&](const std::vector<runner::TrialRecord>& records) {
+    util::Table table({"dummies", "aggr acts", "acts/dummy", "mean BER",
+                       "max BER", "rows w/ flips"});
+    for (int dummies : dummy_counts) {
+      for (int acts : aggressor_acts) {
+        std::vector<double> bers;
+        int rows_with_flips = 0;
+        long long acts_per_dummy = 0;
+        for (const auto& record : records) {
+          if (record.cells.size() != 6 ||
+              record.cells[0] != std::to_string(dummies) ||
+              record.cells[1] != std::to_string(acts) ||
+              record.cells[4].empty()) {
+            continue;
           }
-          continue;
+          const auto values = sweeps.numbers(record, {3, 4, 5});
+          if (!values) continue;
+          acts_per_dummy = static_cast<long long>((*values)[0]);
+          bers.push_back((*values)[1]);
+          if ((*values)[2] > 0) ++rows_with_flips;
         }
-        acts_per_dummy = *apd;
-        bers.push_back(*ber);
-        if (*flips > 0) ++rows_with_flips;
+        if (bers.empty()) continue;
+        const double mean = util::mean(bers);
+        if (rows_with_flips > 0) {
+          min_dummies_with_flips = std::min(min_dummies_with_flips, dummies);
+        }
+        if (dummies == 8 && acts == 18) mean_at_18 = mean;
+        if (dummies == 8 && acts == 24) mean_at_24 = mean;
+        if (dummies == 8 && acts == 30) mean_at_30 = mean;
+        if (dummies == 8 && acts == 34) mean_at_34 = mean;
+        table.row()
+            .cell(dummies)
+            .cell(acts)
+            .cell(acts_per_dummy)
+            .cell(bench::ber_pct(mean))
+            .cell(bench::ber_pct(util::max_of(bers)))
+            .cell(rows_with_flips);
       }
-      if (bers.empty()) continue;
-      const double mean = util::mean(bers);
-      if (rows_with_flips > 0) {
-        min_dummies_with_flips = std::min(min_dummies_with_flips, dummies);
-      }
-      if (dummies == 8 && acts == 18) mean_at_18 = mean;
-      if (dummies == 8 && acts == 24) mean_at_24 = mean;
-      if (dummies == 8 && acts == 30) mean_at_30 = mean;
-      if (dummies == 8 && acts == 34) mean_at_34 = mean;
-      table.row()
-          .cell(dummies)
-          .cell(acts)
-          .cell(acts_per_dummy)
-          .cell(bench::ber_pct(mean))
-          .cell(bench::ber_pct(util::max_of(bers)))
-          .cell(rows_with_flips);
     }
+    table.print(std::cout);
+  };
+  const auto report = sweeps.run(sweep, reduce);
+  if (report) {
+    // Trials execute on per-worker device twins; the campaign report
+    // carries their summed counters (the facade chip never sees trial
+    // activity).
+    const auto& counters = report->device_counters;
+    std::cout << "Device counters: " << counters.activations
+              << " ACTs observed, " << counters.defense_victim_refreshes
+              << " TRR victim refreshes issued across the sweep\n";
   }
-  table.print(std::cout);
-  bench::print_campaign_report(std::cout, report,
-                               campaign.session().stats());
-  if (report.aborted) return 2;
-  // Trials execute on per-worker device twins; the campaign report carries
-  // their summed counters (the facade chip never sees trial activity).
-  const auto& counters = report.device_counters;
-  std::cout << "Device counters: " << counters.activations
-            << " ACTs observed, " << counters.defense_victim_refreshes
-            << " TRR victim refreshes issued across the sweep\n";
 
   ctx.banner("Paper reference points (Sec. 7, Takeaway 9)");
   ctx.compare("dummy rows needed to bypass the TRR", ">= 4",
@@ -144,6 +130,5 @@ int main(int argc, char** argv) {
   ctx.compare("dummy count beyond 4 barely matters",
               "mean BER varies by 0.003 between 4 and 7 dummies",
               "compare rows with equal aggr acts above");
-  obs.finish();
-  return 0;
+  return sweeps.finish();
 }

@@ -133,21 +133,17 @@ void BM_ArenaScenario(benchmark::State& state) {
 BENCHMARK(BM_ArenaScenario)->Unit(benchmark::kMillisecond);
 
 void BM_HcFirstSearch(benchmark::State& state) {
-  // Arg 0 = from-scratch reference path, arg 1 = checkpointed incremental
-  // engine; both produce identical HC values (study_hc_incremental_test).
+  // One HC_first search through the checkpointed incremental engine.
   bender::Platform platform;
   auto& chip = platform.chip(2);
   const auto map = study::AddressMap::from_scheme(chip.profile().mapping);
-  study::HcSearchConfig hc_config;
-  hc_config.incremental = state.range(0) != 0;
   int row = 4000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        study::find_hc_first(chip, map, {kBank, row}, hc_config));
+    benchmark::DoNotOptimize(study::find_hc_first(chip, map, {kBank, row}, {}));
     row += 7;  // fresh rows so caching cannot flatter the number
   }
 }
-BENCHMARK(BM_HcFirstSearch)->Arg(0)->Arg(1)->ArgName("incremental");
+BENCHMARK(BM_HcFirstSearch);
 
 void BM_ParallelCampaign(benchmark::State& state) {
   // End-to-end campaign through the sharded runner at a given --jobs

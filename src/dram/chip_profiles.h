@@ -30,6 +30,19 @@ struct ChipProfile {
   double target_temperature_c = 82.0;   // if controlled
   double ambient_temperature_c = 55.0;  // if not controlled
   disturb::DisturbParams disturb;
+
+  /// The calibrated temperature trials are pinned to and guarded around:
+  /// the controlled target, or the ambient of an uncontrolled rig.
+  [[nodiscard]] double setpoint_c() const {
+    return temperature_controlled ? target_temperature_c
+                                  : ambient_temperature_c;
+  }
+  /// Default guard-band half-width around setpoint_c(): 1.0 C for a
+  /// temperature-controlled chip (paper Sec. 3), 3.0 C for an ambient one
+  /// (diurnal drift + sensor noise).
+  [[nodiscard]] double guard_band_c() const {
+    return temperature_controlled ? 1.0 : 3.0;
+  }
 };
 
 /// The six chip profiles, derived deterministically from the platform seed.

@@ -1,5 +1,7 @@
 #include "runner/checkpoint.h"
 
+#include <unordered_set>
+
 #include "runner/journal.h"
 #include "util/crc32c.h"
 #include "util/csv.h"
@@ -137,6 +139,64 @@ JournalScan scan_journal(Store& store, const std::string& path) {
     out.events.emplace_back(journal_line_field(lines[i], "event"));
     out.keys.emplace_back(journal_line_field(lines[i], "trial"));
     if (out.events.back() == "campaign-begin") out.has_begin = true;
+  }
+  return out;
+}
+
+TrustedState trusted_state(const RecoveredCheckpoint& checkpoint,
+                           const JournalScan* journal,
+                           const std::string& header_line) {
+  TrustedState out;
+  if (journal != nullptr) {
+    for (std::size_t i = 0; i < journal->lines.size(); ++i) {
+      const auto& event = journal->events[i];
+      if (event == "trial-ok" || event == "quarantine") {
+        out.terminal[journal->keys[i]] =
+            event == "trial-ok" ? "ok" : "quarantined";
+      }
+    }
+  }
+
+  std::unordered_set<std::string> trusted;
+  std::unordered_set<std::string> seen;
+  out.csv = header_line + "\n";
+  for (std::size_t i = 0; i < checkpoint.lines.size(); ++i) {
+    const auto& key = checkpoint.keys[i];
+    auto verdict = RowTrust::kTrusted;
+    if (!seen.insert(key).second) {
+      verdict = RowTrust::kDuplicate;
+    } else if (journal != nullptr) {
+      const auto it = out.terminal.find(key);
+      if (it == out.terminal.end()) {
+        verdict = RowTrust::kNoTerminalEvent;
+      } else if (it->second != util::split_csv_line(checkpoint.lines[i])[1]) {
+        verdict = RowTrust::kStatusMismatch;
+      }
+    }
+    out.verdicts.push_back(verdict);
+    if (verdict != RowTrust::kTrusted) continue;
+    trusted.insert(key);
+    out.csv += checkpoint.lines[i];
+    out.csv += '\n';
+  }
+  out.trusted_rows = trusted.size();
+
+  if (journal != nullptr) {
+    bool kept_begin = false;
+    for (std::size_t i = 0; i < journal->lines.size(); ++i) {
+      if (journal->events[i] == "campaign-begin") {
+        if (kept_begin) continue;  // keep the first only
+        kept_begin = true;
+      } else if (journal->keys[i].empty() ||
+                 trusted.find(journal->keys[i]) == trusted.end()) {
+        // Campaign-level control lines (stop/abort/end, checkpoint
+        // quarantines) are superseded; keyed lines without a trusted row
+        // belong to trials that will rerun.
+        continue;
+      }
+      out.journal += journal->lines[i];
+      out.journal += '\n';
+    }
   }
   return out;
 }

@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "runner/store.h"
@@ -99,5 +100,37 @@ struct JournalScan {
 };
 
 [[nodiscard]] JournalScan scan_journal(Store& store, const std::string& path);
+
+/// Why a CRC-valid checkpoint row is or is not kept.
+enum class RowTrust {
+  kTrusted,
+  kDuplicate,        // an earlier row already holds this trial key
+  kNoTerminalEvent,  // the journal has no trial-ok / quarantine for the key
+  kStatusMismatch,   // the journal's last terminal event disagrees with it
+};
+
+/// The trust rule shared by resume (CampaignRunner) and campaign_fsck, so
+/// an fsck-clean pair is exactly what a resume keeps. A row is trusted when
+/// it is the first row of its key and, when a journal is given, the key's
+/// last terminal journal event (trial-ok / quarantine) records the row's
+/// status. Both artifacts are rewritten down to the trusted trials.
+struct TrustedState {
+  /// One verdict per row of RecoveredCheckpoint::lines.
+  std::vector<RowTrust> verdicts;
+  /// Key -> "ok" / "quarantined" from its last terminal journal event.
+  std::unordered_map<std::string, std::string> terminal;
+  std::uint64_t trusted_rows = 0;
+  /// `header_line`, then the trusted rows in file order.
+  std::string csv;
+  /// The first campaign-begin line plus the keyed lines of trusted trials
+  /// ("" when no journal was given).
+  std::string journal;
+};
+
+/// `journal` = nullptr trusts every first row (the campaign never
+/// journaled).
+[[nodiscard]] TrustedState trusted_state(const RecoveredCheckpoint& checkpoint,
+                                         const JournalScan* journal,
+                                         const std::string& header_line);
 
 }  // namespace hbmrd::runner

@@ -1,7 +1,6 @@
 #include "runner/fsck.h"
 
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "runner/checkpoint.h"
@@ -59,16 +58,6 @@ FsckReport campaign_fsck(const FsckOptions& options) {
         "mid-file row failed its CRC check" +
             (key.empty() ? std::string() : " (key '" + key + "')"));
   }
-  std::unordered_map<std::string, std::string> row_status;
-  std::vector<std::string> duplicate_keys;
-  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-    const auto cells = util::split_csv_line(cp.lines[i]);
-    if (!row_status.emplace(cp.keys[i], cells[1]).second) {
-      duplicate_keys.push_back(cp.keys[i]);
-      add(report, csv_path, "duplicate row for trial '" + cp.keys[i] + "'");
-    }
-  }
-
   // -- Manifest.
   const auto manifest_path = Manifest::path_for(csv_path);
   std::optional<Manifest> manifest;
@@ -87,8 +76,7 @@ FsckReport campaign_fsck(const FsckOptions& options) {
                                "campaign identity)");
   }
 
-  // -- Journal + cross-replay.
-  std::unordered_set<std::string> trusted;
+  // -- Journal + cross-replay, through the trust rule resume applies.
   JournalScan js;
   bool cross_check = false;
   if (!options.journal_path.empty()) {
@@ -106,48 +94,47 @@ FsckReport campaign_fsck(const FsckOptions& options) {
       if (!js.has_begin && !js.lines.empty()) {
         add(report, options.journal_path, "no campaign-begin line survived");
       }
-      // Terminal event per trial, with its recorded outcome.
-      std::unordered_map<std::string, std::string> terminal;
-      for (std::size_t i = 0; i < js.lines.size(); ++i) {
-        if (js.events[i] == "trial-ok" || js.events[i] == "quarantine") {
-          terminal[std::string(js.keys[i])] =
-              js.events[i] == "trial-ok" ? "ok" : "quarantined";
-        }
-      }
-      for (const auto& [key, status] : row_status) {
-        const auto it = terminal.find(key);
-        if (it == terminal.end()) {
-          add(report, csv_path,
-              "row '" + key + "' has no terminal journal event (the row "
-              "outran the journal; a resume would rerun it)");
-        } else if (it->second != status) {
-          add(report, csv_path,
-              "row '" + key + "' is '" + status +
-                  "' but the journal records '" + it->second + "'");
-        } else {
-          trusted.insert(key);
-        }
-      }
-      for (const auto& [key, status] : terminal) {
-        if (row_status.find(key) == row_status.end()) {
-          add(report, options.journal_path,
-              "journal block for '" + key +
-                  "' has no committed checkpoint row");
-        }
-      }
     }
   }
-  if (!cross_check) {
-    for (const auto& [key, status] : row_status) trusted.insert(key);
+  const auto trusted =
+      trusted_state(cp, cross_check ? &js : nullptr, found_header);
+  report.trusted_rows = trusted.trusted_rows;
+  for (std::size_t i = 0; i < cp.lines.size(); ++i) {
+    const auto& key = cp.keys[i];
+    switch (trusted.verdicts[i]) {
+      case RowTrust::kTrusted:
+        break;
+      case RowTrust::kDuplicate:
+        add(report, csv_path, "duplicate row for trial '" + key + "'");
+        break;
+      case RowTrust::kNoTerminalEvent:
+        add(report, csv_path,
+            "row '" + key + "' has no terminal journal event (the row "
+            "outran the journal; a resume would rerun it)");
+        break;
+      case RowTrust::kStatusMismatch:
+        add(report, csv_path,
+            "row '" + key + "' is '" + util::split_csv_line(cp.lines[i])[1] +
+                "' but the journal records '" + trusted.terminal.at(key) +
+                "' (a resume would rerun it)");
+        break;
+    }
   }
-  report.trusted_rows = trusted.size();
+  const std::unordered_set<std::string> row_keys(cp.keys.begin(),
+                                                 cp.keys.end());
+  for (const auto& [key, status] : trusted.terminal) {
+    if (row_keys.find(key) == row_keys.end()) {
+      add(report, options.journal_path,
+          "journal block for '" + key + "' has no committed checkpoint row");
+    }
+  }
 
   // -- Repair: rewrite down to what a resume would trust.
   if (options.repair && !report.clean()) {
     // Quarantine sidecar keeps every byte fsck refuses to trust.
     std::string quarantined;
     for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-      if (trusted.find(cp.keys[i]) == trusted.end()) {
+      if (trusted.verdicts[i] != RowTrust::kTrusted) {
         quarantined += cp.lines[i];
         quarantined += '\n';
       }
@@ -180,31 +167,9 @@ FsckReport campaign_fsck(const FsckOptions& options) {
                             quarantined + raw_bad);
     }
 
-    std::string csv_content = found_header + "\n";
-    std::unordered_set<std::string> written;
-    for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-      if (trusted.find(cp.keys[i]) == trusted.end()) continue;
-      if (!written.insert(cp.keys[i]).second) continue;
-      csv_content += cp.lines[i];
-      csv_content += '\n';
-    }
-    store->atomic_replace(csv_path, csv_content);
-
+    store->atomic_replace(csv_path, trusted.csv);
     if (cross_check) {
-      std::string journal_content;
-      bool kept_begin = false;
-      for (std::size_t i = 0; i < js.lines.size(); ++i) {
-        if (js.events[i] == "campaign-begin") {
-          if (kept_begin) continue;
-          kept_begin = true;
-        } else if (js.keys[i].empty() ||
-                   trusted.find(js.keys[i]) == trusted.end()) {
-          continue;
-        }
-        journal_content += js.lines[i];
-        journal_content += '\n';
-      }
-      store->atomic_replace(options.journal_path, journal_content);
+      store->atomic_replace(options.journal_path, trusted.journal);
     }
     report.repaired = true;
   }

@@ -5,9 +5,9 @@
 // config digests — plus the cross-replay between the two artifacts: every
 // committed CSV row must have a complete journal block (terminal trial-ok /
 // quarantine event) with a matching status, and every complete block must
-// have its row. That intersection is exactly what a resume would trust, so
-// a clean fsck certifies that resuming cannot silently drop or duplicate a
-// trial.
+// have its row. That intersection is exactly what a resume would trust —
+// both apply runner::trusted_state (runner/checkpoint.h) — so a clean fsck
+// certifies that resuming cannot silently drop or duplicate a trial.
 //
 // With `repair`, the artifacts are rewritten (atomically) down to the
 // verified state: torn tails truncated at the record boundary, corrupt rows

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "fault/faulty_store.h"
 #include "obs/instrumented_store.h"
@@ -80,8 +79,9 @@ std::string hex32(std::uint32_t value) { return util::crc32c_hex(value); }
 /// Scans checkpoint + journal + manifest, decides which trials are
 /// committed, and atomically rewrites both artifacts down to exactly that
 /// trusted state. The cross-check is an intersection: a trial counts as
-/// committed only when its CRC-valid CSV row AND its terminal journal
-/// event (trial-ok / quarantine) both survived — which is what keeps the
+/// committed only when its CRC-valid CSV row AND a terminal journal event
+/// (trial-ok / quarantine) recording the same status both survived
+/// (trusted_state, the rule campaign_fsck checks) — which is what keeps the
 /// final artifacts byte-identical to an uninterrupted run no matter where
 /// a crash tore them, in either direction. Throws CheckpointMismatchError
 /// when the artifacts belong to a different campaign configuration.
@@ -183,22 +183,14 @@ Recovery recover(Store& store, const RunnerConfig& config,
   // file exists — absent means the campaign never journaled (a config
   // choice, not data loss).
   JournalScan js;
-  bool cross_check = false;
-  std::unordered_set<std::string> complete;
-  if (have_journal) {
-    js = scan_journal(store, config.journal_path);
-    cross_check = js.existed;
-    for (std::size_t i = 0; i < js.lines.size(); ++i) {
-      if (js.events[i] == "trial-ok" || js.events[i] == "quarantine") {
-        complete.insert(js.keys[i]);
-      }
-    }
-  }
-
-  std::vector<std::string> keep_lines;
+  if (have_journal) js = scan_journal(store, config.journal_path);
+  const bool cross_check = have_journal && js.existed;
+  const auto trusted =
+      trusted_state(cp, cross_check ? &js : nullptr, header_line);
   for (std::size_t i = 0; i < cp.lines.size(); ++i) {
-    const auto& key = cp.keys[i];
-    if (cross_check && complete.find(key) == complete.end()) {
+    const auto verdict = trusted.verdicts[i];
+    if (verdict == RowTrust::kDuplicate) continue;
+    if (verdict != RowTrust::kTrusted) {  // the journal does not vouch for it
       ++report.checkpoint_rolled_back;
       continue;
     }
@@ -207,37 +199,16 @@ Recovery recover(Store& store, const RunnerConfig& config,
     row.status = cells[1] == "quarantined" ? TrialStatus::kQuarantined
                                            : TrialStatus::kOkResumed;
     row.cells.assign(cells.begin() + 2, cells.end() - 1);
-    if (!rec.committed.emplace(key, std::move(row)).second) continue;
-    keep_lines.push_back(cp.lines[i]);
+    rec.committed.emplace(cp.keys[i], std::move(row));
   }
 
   // -- Atomic rewrite: exactly the trusted state — torn tails, corrupt
   // rows, rolled-back records and superseded control events all vanish in
   // one rename each; a crash mid-rewrite leaves the previous file intact.
-  std::string csv_content = header_line + "\n";
-  for (const auto& line : keep_lines) {
-    csv_content += line;
-    csv_content += '\n';
-  }
-  store.atomic_replace(config.results_path, csv_content);
-
-  if (have_journal && js.existed) {
-    std::string journal_content;
-    for (std::size_t i = 0; i < js.lines.size(); ++i) {
-      if (js.events[i] == "campaign-begin") {
-        if (rec.journal_has_begin) continue;  // keep the first only
-        rec.journal_has_begin = true;
-      } else if (js.keys[i].empty() ||
-                 rec.committed.find(js.keys[i]) == rec.committed.end()) {
-        // Campaign-level control lines (stop/abort/end, checkpoint
-        // quarantines) are superseded by this resume; keyed lines without
-        // a committed row belong to trials that will rerun.
-        continue;
-      }
-      journal_content += js.lines[i];
-      journal_content += '\n';
-    }
-    store.atomic_replace(config.journal_path, journal_content);
+  store.atomic_replace(config.results_path, trusted.csv);
+  if (cross_check) {
+    rec.journal_has_begin = js.has_begin;
+    store.atomic_replace(config.journal_path, trusted.journal);
   }
   return rec;
 }
@@ -273,17 +244,6 @@ CampaignRunner::CampaignRunner(bender::HbmChip& chip, RunnerConfig config)
     : chip_(chip),
       config_(std::move(config)),
       faulty_(chip, fault::FaultPlan(config_.faults)) {}
-
-double CampaignRunner::setpoint_c() const {
-  const auto& profile = chip_.profile();
-  return profile.temperature_controlled ? profile.target_temperature_c
-                                        : profile.ambient_temperature_c;
-}
-
-double CampaignRunner::band_c() const {
-  if (config_.guard.band_c > 0.0) return config_.guard.band_c;
-  return chip_.profile().temperature_controlled ? 1.0 : 3.0;
-}
 
 CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   const auto width = config_.result_columns.size();
@@ -382,8 +342,8 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
         .field("thermal_rate", faults.thermal_rate, 4)
         .field("persistent_rate", faults.persistent_rate, 4)
         .field("fatal_rate", faults.fatal_rate, 4)
-        .field("setpoint_c", setpoint_c(), 1)
-        .field("band_c", band_c(), 2);
+        .field("setpoint_c", chip_.profile().setpoint_c(), 1)
+        .field("band_c", config_.guard.band_for(chip_.profile()), 2);
   }
   // Surface recovery findings before the campaign continues; these are
   // campaign-level lines ("key", not "trial") and a later resume drops

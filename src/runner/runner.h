@@ -73,13 +73,16 @@ struct TrialRecord {
 struct GuardBandConfig {
   bool enabled = true;
   /// Half-width of the allowed band around the profile's setpoint.
-  /// 0 = auto: 1.0 C for temperature-controlled chips (paper Sec. 3),
-  /// 3.0 C for ambient chips (diurnal drift + sensor noise).
+  /// 0 = auto: the profile's guard_band_c().
   double band_c = 0.0;
   /// Idle step between guard polls (simulated seconds).
   double poll_s = 2.0;
   /// Give up waiting after this long; the attempt counts as faulted.
   double max_wait_s = 900.0;
+
+  [[nodiscard]] double band_for(const dram::ChipProfile& profile) const {
+    return band_c > 0.0 ? band_c : profile.guard_band_c();
+  }
 };
 
 struct RunnerConfig {
@@ -194,13 +197,6 @@ class CampaignRunner {
 
   [[nodiscard]] fault::FaultyChip& session() { return faulty_; }
   [[nodiscard]] const RunnerConfig& config() const { return config_; }
-  /// The campaign chip — what a shard worker or supervisor builds its own
-  /// runner around (bench/common.cpp).
-  [[nodiscard]] bender::HbmChip& chip() { return chip_; }
-
-  /// The guard/pin setpoint: the profile's controlled target or ambient.
-  [[nodiscard]] double setpoint_c() const;
-  [[nodiscard]] double band_c() const;
 
  private:
   bender::HbmChip& chip_;

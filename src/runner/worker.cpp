@@ -60,11 +60,8 @@ TrialWorker::TrialWorker(const dram::ChipProfile& profile,
       faulty_(chip_, fault::FaultPlan(config.faults)),
       journal_enabled_(journal_enabled) {
   faulty_.set_incarnation(incarnation);
-  setpoint_c_ = profile.temperature_controlled ? profile.target_temperature_c
-                                               : profile.ambient_temperature_c;
-  band_c_ = config.guard.band_c > 0.0
-                ? config.guard.band_c
-                : (profile.temperature_controlled ? 1.0 : 3.0);
+  setpoint_c_ = profile.setpoint_c();
+  band_c_ = config.guard.band_for(profile);
 }
 
 bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,

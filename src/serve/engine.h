@@ -97,10 +97,7 @@ class FallbackSession {
   [[nodiscard]] bender::ChipSession& canonical() {
     chip_->rig() = rig0_;
     chip_->power_cycle();
-    const auto& profile = chip_->profile();
-    chip_->pin_temperature(profile.temperature_controlled
-                               ? profile.target_temperature_c
-                               : profile.ambient_temperature_c);
+    chip_->pin_temperature(chip_->profile().setpoint_c());
     return *chip_;
   }
   [[nodiscard]] const study::AddressMap& map() const { return *map_; }

@@ -34,13 +34,12 @@ namespace hbmrd::study {
 
 class BerProbe {
  public:
-  /// `incremental` requests the checkpointed engine; it silently falls back
-  /// to from-scratch probing when the session has no checkpoint support
-  /// (e.g. a defense that cannot be cloned). One BerProbe must be the only
-  /// checkpoint user of its session while alive.
+  /// Uses the checkpointed engine when the session supports checkpoints,
+  /// and from-scratch probing otherwise (e.g. a defense that cannot be
+  /// cloned). One BerProbe must be the only checkpoint user of its session
+  /// while alive.
   BerProbe(bender::ChipSession& chip, const AddressMap& map,
-           const dram::RowAddress& victim, const BerConfig& config,
-           bool incremental = true);
+           const dram::RowAddress& victim, const BerConfig& config);
   ~BerProbe();
 
   BerProbe(const BerProbe&) = delete;
@@ -53,9 +52,6 @@ class BerProbe {
 
   /// Bitflip count at `count` (memoized, see measure()).
   int bitflips_at(std::uint64_t count);
-
-  /// True when the checkpointed engine is active (not the fallback).
-  [[nodiscard]] bool incremental() const { return incremental_; }
 
  private:
   const RowBerResult& probe_scratch(std::uint64_t count);

@@ -18,12 +18,6 @@ struct HcSearchConfig {
   /// Upper search bound; rows with HC_first above it report "no bitflip".
   std::uint64_t max_hammer_count = 1u << 20;  // 1M activations per aggressor
   int init_ring = 8;
-  /// Use the checkpointed incremental-dose engine (study/ber_probe.h):
-  /// O(HC) instead of O(HC log HC) simulated activations per search, with
-  /// bit-identical results. False forces the from-scratch reference path
-  /// (benches expose it as --hc-scratch); sessions without checkpoint
-  /// support fall back to it automatically.
-  bool incremental = true;
 };
 
 /// Number of bitflips a given hammer count induces in the victim row.

@@ -44,9 +44,9 @@ struct Artifacts {
 };
 
 /// A small real campaign producing a checkpoint + journal pair.
-void run_campaign(const Artifacts& artifacts, int n_trials = 4,
-                  bool resume = false,
-                  std::shared_ptr<util::Store> store = nullptr) {
+CampaignReport run_campaign(const Artifacts& artifacts, int n_trials = 4,
+                            bool resume = false,
+                            std::shared_ptr<util::Store> store = nullptr) {
   std::vector<CampaignRunner::Trial> trials;
   for (int t = 0; t < n_trials; ++t) {
     trials.push_back({"t" + std::to_string(t),
@@ -64,8 +64,9 @@ void run_campaign(const Artifacts& artifacts, int n_trials = 4,
   CampaignRunner campaign(chip, config);
   const auto report = campaign.run(trials);
   if (store == nullptr) {
-    ASSERT_FALSE(report.aborted);
+    EXPECT_FALSE(report.aborted);
   }
+  return report;
 }
 
 FsckReport fsck(const Artifacts& artifacts, bool repair = false) {
@@ -201,6 +202,47 @@ TEST(CampaignFsck, CrossReplayCatchesFabricatedAndMislabeledRows) {
   EXPECT_TRUE(saw_forged);
   EXPECT_TRUE(saw_mislabeled);
   EXPECT_EQ(report.trusted_rows, 3u);  // t0, t1, t3
+}
+
+TEST(CampaignFsck, ResumeRerunsTheRowsFsckDistrusts) {
+  // A CRC-valid journal line recording another outcome than the committed
+  // row: fsck distrusts the row, so a resume must rerun its trial instead
+  // of keeping it, and the finished pair must equal an uninterrupted run.
+  Artifacts reference("status_ref");
+  run_campaign(reference);
+  Artifacts artifacts("status");
+  run_campaign(artifacts);
+
+  // Relabel the last trial's trial-ok line as a quarantine, re-CRC'd.
+  const std::string ok_head = "{\"event\":\"trial-ok\",\"trial\":\"t3\"";
+  const std::string crc_marker = ",\"crc\":\"";
+  const auto journal = slurp(artifacts.jsonl);
+  const auto begin = journal.find(ok_head);
+  ASSERT_NE(begin, std::string::npos);
+  const auto end = journal.find('\n', begin);
+  auto line = journal.substr(begin, end - begin);
+  line.replace(0, ok_head.size(),
+               "{\"event\":\"quarantine\",\"trial\":\"t3\"");
+  line.resize(line.find(crc_marker));
+  line += crc_marker + util::crc32c_hex(util::crc32c(line)) + "\"}";
+  util::default_store()->atomic_replace(
+      artifacts.jsonl, journal.substr(0, begin) + line + journal.substr(end));
+
+  const auto before = fsck(artifacts);
+  EXPECT_FALSE(before.clean());
+  EXPECT_EQ(before.trusted_rows, 3u);
+
+  const auto report = run_campaign(artifacts, 4, /*resume=*/true);
+  EXPECT_EQ(report.resumed, before.trusted_rows);
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.checkpoint_rolled_back, 1u);
+  EXPECT_EQ(slurp(artifacts.csv), slurp(reference.csv));
+  EXPECT_EQ(slurp(artifacts.jsonl), slurp(reference.jsonl));
+  const auto after = fsck(artifacts);
+  EXPECT_TRUE(after.clean()) << (after.issues.empty()
+                                     ? "?"
+                                     : after.issues.front().what);
+  EXPECT_EQ(after.trusted_rows, 4u);
 }
 
 }  // namespace

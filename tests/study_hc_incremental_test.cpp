@@ -2,7 +2,9 @@
 //
 // Contract under test: the incremental engine is an invisible perf
 // optimization. HC values, per-probe flip sets, campaign CSV checkpoints
-// and JSONL journals are byte-identical to the from-scratch reference path
+// and JSONL journals are byte-identical to the from-scratch path (the one
+// sessions without checkpoint support take, reached here through
+// ScratchSession)
 // — across chips (including chip 0's undocumented TRR), data patterns,
 // aggressor on-times, fault plans, --jobs counts, and kill + resume — while
 // executing several times fewer simulated activations (study.hammers_saved
@@ -28,11 +30,27 @@ namespace {
 
 constexpr dram::BankAddress kBank{0, 0, 0};
 
-HcSearchConfig search_config(bool incremental) {
-  HcSearchConfig config;
-  config.incremental = incremental;
-  return config;
-}
+/// Forwards every call to a real session but reports no checkpoint
+/// support, which steers BerProbe onto its from-scratch path. Probe
+/// counters accrue on the wrapper.
+class ScratchSession : public bender::ChipSession {
+ public:
+  explicit ScratchSession(bender::ChipSession& inner) : inner_(inner) {}
+
+  const dram::ChipProfile& profile() const override {
+    return inner_.profile();
+  }
+  bender::ExecutionResult run(const bender::Program& program) override {
+    return inner_.run(program);
+  }
+  void idle(double seconds) override { inner_.idle(seconds); }
+  dram::Cycle now() const override { return inner_.now(); }
+  double temperature_c() override { return inner_.temperature_c(); }
+  dram::Stack& stack() override { return inner_.stack(); }
+
+ private:
+  bender::ChipSession& inner_;
+};
 
 /// Runs one find_hc_nth against a fresh platform chip, returning the result
 /// plus the session's probe counters (fresh chip per call so both modes
@@ -43,13 +61,16 @@ struct SearchRun {
 };
 
 SearchRun run_search(int chip_index, const dram::RowAddress& victim, int n,
-                     HcSearchConfig config) {
+                     const HcSearchConfig& config, bool incremental) {
   bender::Platform platform;
   auto& chip = platform.chip(chip_index);
   const auto map = AddressMap::from_scheme(chip.profile().mapping);
+  ScratchSession scratch(chip);
+  bender::ChipSession& session =
+      incremental ? static_cast<bender::ChipSession&>(chip) : scratch;
   SearchRun run;
-  run.hc = find_hc_nth(chip, map, victim, n, config);
-  run.probes = chip.probe_counters();
+  run.hc = find_hc_nth(session, map, victim, n, config);
+  run.probes = session.probe_counters();
   return run;
 }
 
@@ -57,13 +78,11 @@ TEST(HcIncremental, MatchesScratchAcrossRowsAndPatterns) {
   for (const int row : {4300, 64, 8000}) {
     for (const auto pattern : {DataPattern::kCheckered0,
                                DataPattern::kRowstripe0}) {
-      auto scratch = search_config(false);
-      scratch.pattern = pattern;
-      auto incremental = search_config(true);
-      incremental.pattern = pattern;
+      HcSearchConfig config;
+      config.pattern = pattern;
       const dram::RowAddress victim{kBank, row};
-      const auto a = run_search(2, victim, 1, scratch);
-      const auto b = run_search(2, victim, 1, incremental);
+      const auto a = run_search(2, victim, 1, config, false);
+      const auto b = run_search(2, victim, 1, config, true);
       ASSERT_TRUE(a.hc.has_value()) << "row " << row;
       EXPECT_EQ(*a.hc, *b.hc) << "row " << row;
       EXPECT_EQ(a.probes.hammers_saved, 0u);
@@ -77,8 +96,8 @@ TEST(HcIncremental, MatchesScratchOnTrrChipAndHigherN) {
   // along in the checkpoints (ReadDisturbDefense::clone()).
   const dram::RowAddress victim{kBank, 4300};
   for (const int n : {1, 3}) {
-    const auto a = run_search(0, victim, n, search_config(false));
-    const auto b = run_search(0, victim, n, search_config(true));
+    const auto a = run_search(0, victim, n, {}, false);
+    const auto b = run_search(0, victim, n, {}, true);
     ASSERT_EQ(a.hc.has_value(), b.hc.has_value()) << "n " << n;
     if (a.hc) EXPECT_EQ(*a.hc, *b.hc) << "n " << n;
   }
@@ -86,22 +105,20 @@ TEST(HcIncremental, MatchesScratchOnTrrChipAndHigherN) {
 
 TEST(HcIncremental, MatchesScratchAtLongAggressorOnTime) {
   // RowPress-shaped search (fig13): longer tAggON, tighter search bound.
-  auto scratch = search_config(false);
-  scratch.on_cycles = 200;
-  scratch.max_hammer_count = 1u << 18;
-  auto incremental = scratch;
-  incremental.incremental = true;
+  HcSearchConfig config;
+  config.on_cycles = 200;
+  config.max_hammer_count = 1u << 18;
   const dram::RowAddress victim{kBank, 4300};
-  const auto a = run_search(2, victim, 1, scratch);
-  const auto b = run_search(2, victim, 1, incremental);
+  const auto a = run_search(2, victim, 1, config, false);
+  const auto b = run_search(2, victim, 1, config, true);
   ASSERT_TRUE(a.hc.has_value());
   EXPECT_EQ(*a.hc, *b.hc);
 }
 
 TEST(HcIncremental, RespectsSearchBoundLikeScratch) {
-  auto config = search_config(true);
+  HcSearchConfig config;
   config.max_hammer_count = 2000;  // far below any real HC_first here
-  const auto run = run_search(2, {kBank, 4300}, 1, config);
+  const auto run = run_search(2, {kBank, 4300}, 1, config, true);
   EXPECT_FALSE(run.hc.has_value());
 }
 
@@ -112,8 +129,10 @@ TEST(HcIncremental, HcnSequenceMatchesScratch) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
-    results[incremental] =
-        measure_hcn(chip, map, victim, search_config(incremental));
+    ScratchSession scratch(chip);
+    bender::ChipSession& session =
+        incremental ? static_cast<bender::ChipSession&>(chip) : scratch;
+    results[incremental] = measure_hcn(session, map, victim, {});
   }
   for (int k = 0; k < kHcnFlips; ++k) {
     ASSERT_EQ(results[0].hc[k].has_value(), results[1].hc[k].has_value())
@@ -133,11 +152,17 @@ TEST(HcIncremental, ProbeFlipSetsMatchScratchProbeForProbe) {
     bender::Platform platform;
     auto& chip = platform.chip(2);
     const auto map = AddressMap::from_scheme(chip.profile().mapping);
-    BerProbe probe(chip, map, victim, BerConfig{}, incremental);
-    EXPECT_EQ(probe.incremental(), incremental);
-    for (const auto count : counts) {
-      results[incremental].push_back(probe.measure(count));
+    ScratchSession scratch(chip);
+    bender::ChipSession& session =
+        incremental ? static_cast<bender::ChipSession&>(chip) : scratch;
+    {
+      BerProbe probe(session, map, victim, BerConfig{});
+      for (const auto count : counts) {
+        results[incremental].push_back(probe.measure(count));
+      }
     }
+    // Only the checkpointed engine skips replays.
+    EXPECT_EQ(session.probe_counters().hammers_saved > 0, incremental);
   }
   for (std::size_t i = 0; i < counts.size(); ++i) {
     EXPECT_EQ(results[0][i].bitflips, results[1][i].bitflips)
@@ -151,7 +176,7 @@ TEST(HcIncremental, MemoNeverProbesTheSameCountTwice) {
   bender::Platform platform;
   auto& chip = platform.chip(2);
   const auto map = AddressMap::from_scheme(chip.profile().mapping);
-  BerProbe probe(chip, map, {kBank, 4300}, BerConfig{}, true);
+  BerProbe probe(chip, map, {kBank, 4300}, BerConfig{});
   probe.measure(4096);
   const auto probes_before = chip.probe_counters().hc_probes;
   const auto replayed_before = chip.probe_counters().hammers_replayed;
@@ -162,8 +187,8 @@ TEST(HcIncremental, MemoNeverProbesTheSameCountTwice) {
 
 TEST(HcIncremental, SavesAtLeastFiveXActivationsOnHcFirst) {
   const dram::RowAddress victim{kBank, 4300};
-  const auto scratch = run_search(2, victim, 1, search_config(false));
-  const auto incremental = run_search(2, victim, 1, search_config(true));
+  const auto scratch = run_search(2, victim, 1, {}, false);
+  const auto incremental = run_search(2, victim, 1, {}, true);
   ASSERT_TRUE(scratch.hc.has_value());
   EXPECT_EQ(scratch.probes.hc_probes, incremental.probes.hc_probes);
   EXPECT_EQ(scratch.probes.hammers_replayed,
@@ -293,16 +318,16 @@ std::string tmp_path(const std::string& name) {
 
 std::vector<runner::CampaignRunner::Trial> hc_trials(bool incremental) {
   std::vector<runner::CampaignRunner::Trial> trials;
-  const auto config = search_config(incremental);
   for (const int row : {4300, 64, 4308, 8000}) {
     trials.push_back(
         {"row" + std::to_string(row),
-         [row, config](bender::ChipSession& session)
+         [row, incremental](bender::ChipSession& session)
              -> std::vector<std::string> {
            const auto map =
                AddressMap::from_scheme(session.profile().mapping);
-           const auto hc =
-               find_hc_first(session, map, {kBank, row}, config);
+           ScratchSession scratch(session);
+           const auto hc = find_hc_first(
+               incremental ? session : scratch, map, {kBank, row}, {});
            return {hc ? std::to_string(*hc) : ""};
          }});
   }
