@@ -54,7 +54,6 @@ std::string slurp(const std::string& path) {
 
 struct Outcome {
   runner::CampaignReport report;
-  fault::FaultyChip::Stats stats;
   /// Payload cells of every ok trial, keyed by trial key.
   std::vector<std::pair<std::string, std::vector<std::string>>> payloads;
 };
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
 
     Outcome outcome;
     outcome.report = campaign.run(trials);
-    outcome.stats = campaign.session().stats();
     for (const auto& record : outcome.report.records) {
       if (record.status == runner::TrialStatus::kOk ||
           record.status == runner::TrialStatus::kOkResumed) {
@@ -173,7 +171,7 @@ int main(int argc, char** argv) {
         .cell(util::format_double(100.0 * completion, 2) + "%")
         .cell(static_cast<long long>(outcome.report.retries))
         .cell(static_cast<long long>(outcome.report.quarantined))
-        .cell(static_cast<long long>(outcome.stats.injected_total))
+        .cell(static_cast<long long>(outcome.report.faults_injected))
         .cell(util::format_double(outcome.report.guard_wait_s, 1) + " s")
         .cell(util::format_double(outcome.report.campaign_seconds, 1))
         .cell(util::format_double(100.0 * fidelity, 2) + "%");

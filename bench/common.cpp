@@ -1,6 +1,5 @@
 #include "common.h"
 
-#include <csignal>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -40,7 +39,9 @@ Campaign flags (harnesses built on the resilient runner):
   --no-guard         disable the temperature guard band
   --export-index F   after a successful run, export the campaign's
                      results CSV into a .hbmidx query index at F
-                     (docs/SERVING.md); with --shards the export runs
+                     (docs/SERVING.md); fig07-shaped campaigns only
+                     (result columns row and hc_first; checked before
+                     any trial runs); with --shards the export runs
                      from the supervisor's post-merge hook
 
 Sharded campaign flags (process supervision; see docs/RESILIENCE.md):
@@ -56,8 +57,6 @@ Sharded campaign flags (process supervision; see docs/RESILIENCE.md):
                             trials (the watchdog must reap it)
   --worker-crash-repeats N  injected worker faults fire for the first N
                             incarnations of the shard (default 1)
-  (--shard-worker and the other --shard-* flags are spawned by the
-   supervisor itself and are not meant to be passed by hand)
 
 Storage flags (campaign persistence; see docs/RESILIENCE.md):
   --durable-every N  fsync journal + checkpoint every N committed trials
@@ -77,7 +76,6 @@ Observability flags (see docs/OBSERVABILITY.md):
 
 BenchContext::BenchContext(int argc, char** argv, const std::string& title)
     : cli_(argc, argv),
-      argv_(argv, argv + argc),
       title_(title),
       platform_(static_cast<std::uint64_t>(
                     cli_.get_int("--seed",
@@ -241,45 +239,23 @@ std::string per_chip_path(const std::string& path, int chip_index) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-/// `--shard-worker` mode: the supervisor re-invoked this harness to run
-/// the [--shard-lo, --shard-hi) slice of one sweep against the per-shard
-/// store; exits with the shard_exit verdict.
-[[noreturn]] void run_shard_worker(
-    const util::Cli& cli, bender::HbmChip& chip, runner::RunnerConfig config,
-    const std::vector<runner::CampaignRunner::Trial>& trials) {
-  config.results_path = cli.get_string("--shard-results", "");
-  config.journal_path = cli.get_string("--shard-journal", "");
-  config.resume = cli.has("--shard-resume");
-  config.shard.enabled = true;
-  config.shard.lo = static_cast<std::uint64_t>(cli.get_int("--shard-lo", 0));
-  config.shard.hi = static_cast<std::uint64_t>(cli.get_int("--shard-hi", 0));
-  config.shard.heartbeat_fd = static_cast<int>(cli.get_int("--shard-fd", -1));
-  config.shard.incarnation =
-      static_cast<std::uint64_t>(cli.get_int("--shard-incarnation", 0));
-  // Observability belongs to the supervisor process; the worker's stdout
-  // already lands in the per-shard log.
-  config.metrics = nullptr;
-  config.trace = nullptr;
-  config.progress = nullptr;
-
-  runner::install_graceful_stop();  // SIGTERM = checkpoint-flush and exit
-  std::signal(SIGPIPE, SIG_IGN);    // dead supervisor mutes the heartbeat
-
-  int code = runner::shard_exit::kError;
-  try {
-    runner::CampaignRunner worker(chip, config);
-    const auto report = worker.run(trials);
-    if (!report.aborted) {
-      code = runner::shard_exit::kComplete;
-    } else if (report.abort_reason == "signal") {
-      code = runner::shard_exit::kStopped;
-    } else {
-      code = runner::shard_exit::kAborted;
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "shard worker: " << error.what() << "\n";
+/// Refuses `--export-index` (usage error, exit 2) before any trial runs
+/// when the sweep has no results CSV or is not fig07-shaped.
+void check_export_index(const util::Cli& cli,
+                        const runner::RunnerConfig& config) {
+  if (!cli.has("--export-index")) return;
+  if (config.results_path.empty()) {
+    std::cerr << "error: --export-index needs --results FILE\n";
+    std::exit(2);
   }
-  std::exit(code);
+  const auto missing = serve::missing_export_columns(config.result_columns);
+  if (!missing.empty()) {
+    std::cerr << "error: --export-index needs a fig07-shaped campaign; this "
+                 "sweep's results lack column(s)";
+    for (const auto& column : missing) std::cerr << " " << column;
+    std::cerr << "\n";
+    std::exit(2);
+  }
 }
 
 /// `--export-index F`: derive a .hbmidx query index (docs/SERVING.md)
@@ -291,10 +267,6 @@ void export_index_from_results(const util::Cli& cli,
                                int chip_index) {
   const auto index_path = cli.get_string("--export-index", "");
   if (index_path.empty()) return;
-  if (results_path.empty()) {
-    std::cerr << "--export-index needs --results FILE\n";
-    std::exit(2);
-  }
   serve::ExportSpec spec;
   spec.platform_seed = static_cast<std::uint64_t>(cli.get_int(
       "--seed", static_cast<std::int64_t>(spec.platform_seed)));
@@ -343,16 +315,14 @@ void print_supervisor_report(std::ostream& out,
 /// ("signal") with no torn tail, ready for --resume.
 ///
 /// `--shards N` (N > 1) runs the campaign under the process supervisor
-/// (runner/supervisor.h): the harness binary is re-invoked per shard in
-/// `--shard-worker` mode, crashed/hung workers restart from their shard
+/// (runner/supervisor.h): each shard is a forked worker running its slice
+/// of `sweep.trials`, crashed/hung workers restart from their shard
 /// checkpoint, and the merged artifacts are byte-identical to the
 /// unsharded run. `--hang-timeout S` and `--max-restarts N` tune the
-/// watchdog. The faults of a supervised run happen in the worker
-/// processes, so `stats` stays empty.
+/// watchdog.
 runner::CampaignReport run_campaign_or_die(BenchContext& ctx,
                                            const runner::RunnerConfig& config,
-                                           const Sweep& sweep,
-                                           fault::FaultyChip::Stats& stats) {
+                                           const Sweep& sweep) {
   const auto& cli = ctx.cli();
   auto& chip = ctx.platform().chip(sweep.chip_index);
   const auto export_index = [&cli, &config, &sweep] {
@@ -368,7 +338,6 @@ runner::CampaignReport run_campaign_or_die(BenchContext& ctx,
       supervision.hang_timeout_s = cli.get_double("--hang-timeout", 30.0);
       supervision.max_restarts =
           static_cast<int>(cli.get_int("--max-restarts", 5));
-      supervision.worker_argv = ctx.argv();
       // Export from the post-merge hook: the canonical CSV exists and just
       // passed the merge's completeness checks when this runs.
       supervision.on_merged = [&](const runner::MergeReport&) {
@@ -381,7 +350,6 @@ runner::CampaignReport run_campaign_or_die(BenchContext& ctx,
     }
     runner::CampaignRunner campaign(chip, config);
     const auto report = campaign.run(sweep.trials);
-    stats = campaign.session().stats();
     if (!report.aborted) export_index();
     return report;
   } catch (const runner::CheckpointMismatchError& error) {
@@ -406,14 +374,13 @@ runner::CampaignReport run_campaign_or_die(BenchContext& ctx,
 /// Prints the resilience summary of a finished campaign (completion,
 /// retries, quarantines, injected faults, guard/backoff waits).
 void print_campaign_report(std::ostream& out,
-                           const runner::CampaignReport& report,
-                           const fault::FaultyChip::Stats& stats) {
+                           const runner::CampaignReport& report) {
   out << "Campaign: " << report.completed << " completed";
   if (report.resumed > 0) out << ", " << report.resumed << " resumed";
   out << ", " << report.quarantined << " quarantined, " << report.retries
-      << " retries, " << stats.injected_total << " faults injected";
-  if (stats.thermal_excursions > 0) {
-    out << ", " << stats.thermal_excursions << " thermal excursions";
+      << " retries, " << report.faults_injected << " faults injected";
+  if (report.thermal_excursions > 0) {
+    out << ", " << report.thermal_excursions << " thermal excursions";
   }
   out << " (completion "
       << util::format_double(100.0 * report.completion_rate(), 2) << "%)\n";
@@ -451,8 +418,8 @@ void print_campaign_report(std::ostream& out,
 
 SweepDriver::SweepDriver(BenchContext& ctx) : ctx_(ctx), obs_(ctx.cli()) {}
 
-std::optional<runner::CampaignReport> SweepDriver::run(const Sweep& sweep,
-                                                       const Reducer& reduce) {
+runner::CampaignReport SweepDriver::run(const Sweep& sweep,
+                                       const Reducer& reduce) {
   const auto& cli = ctx_.cli();
   auto config = campaign_config(cli, sweep.columns);
   if (sweep.per_chip_artifacts) {
@@ -460,19 +427,11 @@ std::optional<runner::CampaignReport> SweepDriver::run(const Sweep& sweep,
     config.journal_path = per_chip_path(config.journal_path, sweep.chip_index);
   }
   obs_.attach(config);
-  if (cli.has("--shard-worker")) {
-    // The supervisor names its sweep by results path; skip the others.
-    if (config.results_path != cli.get_string("--shard-campaign", "")) {
-      return std::nullopt;
-    }
-    run_shard_worker(cli, ctx_.platform().chip(sweep.chip_index), config,
-                     sweep.trials);
-  }
+  check_export_index(cli, config);
 
-  fault::FaultyChip::Stats stats;
-  auto report = run_campaign_or_die(ctx_, config, sweep, stats);
+  auto report = run_campaign_or_die(ctx_, config, sweep);
   reduce(report.records);
-  print_campaign_report(std::cout, report, stats);
+  print_campaign_report(std::cout, report);
   if (report.aborted) {
     obs_.finish();
     std::exit(2);
@@ -502,10 +461,6 @@ std::optional<std::vector<double>> SweepDriver::numbers(
 }
 
 int SweepDriver::finish() {
-  if (ctx_.cli().has("--shard-worker")) {
-    std::cerr << "shard worker: no campaign matched --shard-campaign\n";
-    return runner::shard_exit::kError;
-  }
   obs_.finish();
   return 0;
 }

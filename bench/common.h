@@ -35,11 +35,6 @@ class BenchContext {
   [[nodiscard]] bender::Platform& platform() { return platform_; }
   [[nodiscard]] const util::Cli& cli() const { return cli_; }
 
-  /// The harness's own argv, verbatim. The campaign supervisor re-invokes
-  /// the harness with these plus `--shard-worker ...` flags appended to
-  /// spawn process-isolated shard workers.
-  [[nodiscard]] const std::vector<std::string>& argv() const { return argv_; }
-
   /// True when --full was passed: run at paper scale.
   [[nodiscard]] bool full() const { return cli_.has("--full"); }
 
@@ -70,7 +65,6 @@ class BenchContext {
 
  private:
   util::Cli cli_;
-  std::vector<std::string> argv_;
   std::string title_;
   bender::Platform platform_;
   std::vector<std::unique_ptr<study::AddressMap>> maps_;
@@ -130,9 +124,9 @@ struct Sweep {
 
 /// Runs a harness's sweeps through the resilient campaign runner and owns
 /// everything the campaign flags (--help, "Campaign flags" onwards) ask of
-/// it: the runner config, --shards supervision, --shard-worker slices,
-/// --export-index, --metrics-out/--progress, the campaign report and the
-/// exit code of an aborted campaign.
+/// it: the runner config, --shards supervision, --export-index,
+/// --metrics-out/--progress, the campaign report and the exit code of an
+/// aborted campaign.
 class SweepDriver {
  public:
   /// Reduces a sweep's committed records (freshly measured and resumed
@@ -144,11 +138,10 @@ class SweepDriver {
 
   /// Runs `sweep`, hands its records to `reduce` and prints the campaign
   /// report. An aborted campaign (checkpoint committed; rerun with
-  /// --resume) or a storage/config failure exits the process with 2.
-  /// Returns nullopt, running nothing, when this process is a shard worker
-  /// spawned for another sweep of the same harness.
-  std::optional<runner::CampaignReport> run(const Sweep& sweep,
-                                            const Reducer& reduce);
+  /// --resume), a storage/config failure, or --export-index on a sweep
+  /// without `row` and `hc_first` columns (refused before any trial runs)
+  /// exits the process with 2.
+  runner::CampaignReport run(const Sweep& sweep, const Reducer& reduce);
 
   /// The numeric payload cells `columns` of `record`, or nullopt when one
   /// does not parse: a resumed checkpoint can surface damaged cells. Such
@@ -162,8 +155,7 @@ class SweepDriver {
   [[nodiscard]] obs::MetricsRegistry* metrics() { return obs_.metrics(); }
 
   /// Writes the --metrics-out snapshot and returns the harness's exit
-  /// code. A shard worker that gets here matched none of the sweeps (a
-  /// supervisor/harness path mismatch) and fails.
+  /// code.
   [[nodiscard]] int finish();
 
  private:

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       }
       table.print(std::cout);
     };
-    if (!sweeps.run(sweep, reduce)) continue;  // another shard's sweep
+    sweeps.run(sweep, reduce);
 
     const double spread =
         util::max_of(channel_means) - util::min_of(channel_means);

@@ -103,16 +103,12 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
   };
-  const auto report = sweeps.run(sweep, reduce);
-  if (report) {
-    // Trials execute on per-worker device twins; the campaign report
-    // carries their summed counters (the facade chip never sees trial
-    // activity).
-    const auto& counters = report->device_counters;
-    std::cout << "Device counters: " << counters.activations
-              << " ACTs observed, " << counters.defense_victim_refreshes
-              << " TRR victim refreshes issued across the sweep\n";
-  }
+  // Trials execute on per-worker device twins; the campaign report carries
+  // their summed counters (the facade chip never sees trial activity).
+  const auto counters = sweeps.run(sweep, reduce).device_counters;
+  std::cout << "Device counters: " << counters.activations
+            << " ACTs observed, " << counters.defense_victim_refreshes
+            << " TRR victim refreshes issued across the sweep\n";
 
   ctx.banner("Paper reference points (Sec. 7, Takeaway 9)");
   ctx.compare("dummy rows needed to bypass the TRR", ">= 4",

@@ -137,8 +137,9 @@ struct FaultPlanConfig {
   /// same plan seed; see fault::FaultyStore).
   StoreFaultConfig store;
 
-  /// Process-level faults against sharded campaign workers (fire only when
-  /// the runner executes in shard-worker mode).
+  /// Process-level faults against sharded campaign workers (fire only in
+  /// the supervisor's forked workers, which run with RunnerConfig::shard
+  /// enabled).
   WorkerFaultConfig worker;
 
   [[nodiscard]] bool fault_free() const {

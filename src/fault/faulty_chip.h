@@ -81,21 +81,8 @@ class FaultyChip final : public bender::ChipSession {
     [[nodiscard]] std::uint64_t count(FaultKind kind) const {
       return by_kind[static_cast<std::size_t>(kind)];
     }
-
-    void merge(const Stats& other) {
-      injected_total += other.injected_total;
-      for (std::size_t k = 0; k < by_kind.size(); ++k) {
-        by_kind[k] += other.by_kind[k];
-      }
-      thermal_excursions += other.thermal_excursions;
-    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// Folds another session's statistics into this one. The parallel runner
-  /// uses this to surface per-worker session stats through the campaign's
-  /// facade session (integer sums, so the totals are order-independent).
-  void absorb_stats(const Stats& other) { stats_.merge(other); }
 
  private:
   [[noreturn]] void inject(FaultKind kind, bender::ExecutionResult* readout);

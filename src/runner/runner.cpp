@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -241,9 +240,7 @@ std::vector<std::string> CampaignReport::quarantined_keys() const {
 }
 
 CampaignRunner::CampaignRunner(bender::HbmChip& chip, RunnerConfig config)
-    : chip_(chip),
-      config_(std::move(config)),
-      faulty_(chip, fault::FaultPlan(config_.faults)) {}
+    : chip_(chip), config_(std::move(config)) {}
 
 CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   const auto width = config_.result_columns.size();
@@ -360,7 +357,6 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   // the resumed campaign on the same trial (transient/persistent/thermal
   // draws stay incarnation-independent, keeping results bit-identical).
   const auto incarnation = static_cast<std::uint64_t>(committed.size());
-  faulty_.set_incarnation(incarnation);
 
   // -- Shard mode: restrict the sequencer to the worker's global index
   // range. Everything else — fault-plan keys, journal bytes, CSV rows — is
@@ -414,8 +410,6 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
   const bool journal_enabled = journal.enabled();
   OrderedShardPool<TrialOutcome> pool(pending.size(), jobs, window);
 
-  std::mutex stats_mu;
-  fault::FaultyChip::Stats worker_stats;
   pool.start([&](OrderedShardPool<TrialOutcome>& p) {
     TrialWorker worker(chip_.profile(), config_, incarnation,
                        journal_enabled);
@@ -430,21 +424,12 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       }
       p.submit(k, std::move(out));
     }
-    std::lock_guard lock(stats_mu);
-    worker_stats.merge(worker.stats());
   });
 
-  // Winds the pool down (normal completion or early abort) and folds the
-  // worker sessions' fault statistics into the facade session, where
-  // callers read them (campaign.session().stats()). After a fatal abort the
-  // totals can include faults from in-flight trials whose outcomes were
-  // discarded — same information a crashed physical campaign leaves behind.
+  // Winds the pool down (normal completion or early abort).
   const auto finish = [&] {
     pool.abort();
     pool.join();
-    std::lock_guard lock(stats_mu);
-    faulty_.absorb_stats(worker_stats);
-    worker_stats = {};
   };
 
   // Durable mode: batched fsync at trial-commit boundaries, journal first —
@@ -604,6 +589,8 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
     }
     journal.append(out.journal);
     report.retries += out.retries;
+    report.faults_injected += out.fault_delta.injected_total;
+    report.thermal_excursions += out.fault_delta.thermal_excursions;
     report.guard_blocks += out.guard_blocks;
     report.guard_wait_s += out.guard_wait_s;
     report.backoff_wait_s += out.backoff_wait_s;
@@ -661,7 +648,11 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
         make_durable();
       }
     }
-    if (!heartbeat_muted) heartbeat.progress(static_cast<std::uint64_t>(i));
+    if (!heartbeat_muted) {
+      heartbeat.progress(static_cast<std::uint64_t>(i),
+                         {out.retries, out.fault_delta.injected_total,
+                          out.fault_delta.thermal_excursions});
+    }
     report_progress();
     report.records.push_back(std::move(out.record));
   }

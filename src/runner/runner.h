@@ -148,6 +148,10 @@ struct CampaignReport {
   std::uint64_t resumed = 0;      // trials skipped via checkpoint
   std::uint64_t quarantined = 0;  // this run
   std::uint64_t retries = 0;      // extra attempts beyond each first
+  /// Injected session faults and thermal excursions, summed over this
+  /// run's committed trials (and a fatal trial) in commit order.
+  std::uint64_t faults_injected = 0;
+  std::uint64_t thermal_excursions = 0;
   std::uint64_t guard_blocks = 0; // attempts the guard made wait
   double guard_wait_s = 0.0;      // simulated time spent waiting for band
   double backoff_wait_s = 0.0;    // simulated time spent backing off
@@ -195,13 +199,11 @@ class CampaignRunner {
   /// `trials`, so the list must be identical across resumed runs.
   CampaignReport run(const std::vector<Trial>& trials);
 
-  [[nodiscard]] fault::FaultyChip& session() { return faulty_; }
   [[nodiscard]] const RunnerConfig& config() const { return config_; }
 
  private:
   bender::HbmChip& chip_;
   RunnerConfig config_;
-  fault::FaultyChip faulty_;
 };
 
 }  // namespace hbmrd::runner

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -84,9 +85,42 @@ void HeartbeatEmitter::progress(std::uint64_t trial_index) {
   if (n > 0) send(buf_, static_cast<std::size_t>(n));
 }
 
+void HeartbeatEmitter::progress(std::uint64_t trial_index,
+                                const TrialTally& tally) {
+  if (!enabled()) return;
+  const int n = std::snprintf(
+      buf_, sizeof(buf_), "t %llu %llu %llu %llu\n",
+      static_cast<unsigned long long>(trial_index),
+      static_cast<unsigned long long>(tally.retries),
+      static_cast<unsigned long long>(tally.faults_injected),
+      static_cast<unsigned long long>(tally.thermal_excursions));
+  if (n > 0) send(buf_, static_cast<std::size_t>(n));
+}
+
 void HeartbeatEmitter::done() {
   if (!enabled()) return;
   send("d\n", 2);
+}
+
+std::optional<ProgressBeat> parse_progress(std::string_view line) {
+  if (line.substr(0, 2) != "t ") return std::nullopt;
+  std::array<std::uint64_t, 4> fields{};
+  std::size_t count = 0;
+  for (std::size_t start = 2; start <= line.size();) {
+    auto end = line.find(' ', start);
+    if (end == std::string_view::npos) end = line.size();
+    const auto value = util::parse_u64(line.substr(start, end - start));
+    if (!value || count == fields.size()) return std::nullopt;
+    fields[count++] = *value;
+    start = end + 1;
+  }
+  if (count != 1 && count != fields.size()) return std::nullopt;
+  ProgressBeat beat;
+  beat.trial_index = fields[0];
+  if (count == fields.size()) {
+    beat.tally = TrialTally{fields[1], fields[2], fields[3]};
+  }
+  return beat;
 }
 
 void install_graceful_stop() {

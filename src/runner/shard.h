@@ -59,14 +59,28 @@ struct ShardWorkerConfig {
   std::uint64_t incarnation = 0;
 };
 
+/// Run-local counts of one trial committed by a worker, carried on its
+/// progress heartbeat so the supervisor's report counts what the unsharded
+/// run's report counts (thermal excursions are never journaled, so the
+/// merged artifacts cannot supply them).
+struct TrialTally {
+  std::uint64_t retries = 0;
+  std::uint64_t faults_injected = 0;
+  std::uint64_t thermal_excursions = 0;
+};
+
 /// Allocation-free heartbeat protocol, worker side. One text line per
 /// message on the supervisor pipe:
 ///   "s\n"          hello — the worker entered its campaign
-///   "t <index>\n"  progress — global trial <index> is committed
+///   "t <index>\n"  progress — global trial <index> was found committed
+///                  (resumed from the shard checkpoint)
+///   "t <index> <retries> <faults> <thermal>\n"
+///                  progress — global trial <index> was committed by this
+///                  incarnation, with its TrialTally
 ///   "d\n"          done — every trial in the shard range is committed
 /// Writes are EINTR-safe; a dead supervisor (EPIPE) mutes the emitter
 /// instead of killing the worker (SIGPIPE must be ignored; the supervisor
-/// child paths do this).
+/// child path does this).
 class HeartbeatEmitter {
  public:
   explicit HeartbeatEmitter(int fd) : fd_(fd) {}
@@ -75,15 +89,27 @@ class HeartbeatEmitter {
 
   void hello();
   void progress(std::uint64_t trial_index);
+  void progress(std::uint64_t trial_index, const TrialTally& tally);
   void done();
 
  private:
   void send(const char* bytes, std::size_t len);
 
   int fd_ = -1;
-  /// Pre-reserved encode buffer: "t <20-digit index>\n" worst case.
-  char buf_[32];
+  /// Pre-reserved encode buffer: "t" plus four 20-digit fields worst case.
+  char buf_[96];
 };
+
+/// A decoded "t" heartbeat line.
+struct ProgressBeat {
+  std::uint64_t trial_index = 0;
+  /// Absent on the re-beat of a resumed trial.
+  std::optional<TrialTally> tally;
+};
+
+/// nullopt unless `line` (without its newline) is a well-formed "t" line.
+[[nodiscard]] std::optional<ProgressBeat> parse_progress(
+    std::string_view line);
 
 /// Installs the graceful-stop SIGTERM/SIGINT handler: the first signal
 /// sets a flag the campaign sequencer polls at each commit boundary (the

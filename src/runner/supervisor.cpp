@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 #include <thread>
 
@@ -69,7 +71,8 @@ class SupervisorRun {
         config_(config),
         trials_(trials),
         store_(campaign.store ? campaign.store : util::default_store()),
-        disk_width_(campaign.result_columns.size() + 3) {}
+        disk_width_(campaign.result_columns.size() + 3),
+        tallies_(trials.size()) {}
 
   SupervisorReport run();
 
@@ -82,8 +85,6 @@ class SupervisorRun {
   void spawn(WorkerSlot& slot, bool resume);
   [[noreturn]] void child_main(const WorkerSlot& slot, int write_fd,
                                bool resume, std::uint64_t incarnation);
-  [[noreturn]] void exec_worker(const WorkerSlot& slot, int write_fd,
-                                bool resume, std::uint64_t incarnation);
   void close_pipe(WorkerSlot& slot);
 
   // -- Event loop.
@@ -127,6 +128,10 @@ class SupervisorRun {
   const std::vector<CampaignRunner::Trial>& trials_;
   std::shared_ptr<Store> store_;
   std::size_t disk_width_;
+  /// Per global trial index: the tally of its last commit heartbeat. A
+  /// trial re-run after a crash overwrites its entry instead of counting
+  /// twice.
+  std::vector<TrialTally> tallies_;
 
   std::vector<WorkerSlot> workers_;
   std::vector<ShardSpec> spawn_queue_;  // stolen ranges awaiting a slot
@@ -205,6 +210,12 @@ void SupervisorRun::spawn(WorkerSlot& slot, bool resume) {
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
   ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
 
+  // The child inherits unflushed stdio buffers; flush them here so a child
+  // that writes (and so flushes) cannot print the parent's output again.
+  std::cout.flush();
+  std::cerr.flush();
+  std::fflush(nullptr);
+
   const auto incarnation = slot.spawn_count;
   const auto pid = ::fork();
   if (pid < 0) {
@@ -241,10 +252,6 @@ void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
   install_graceful_stop();
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (!config_.worker_argv.empty()) {
-    exec_worker(slot, write_fd, resume, incarnation);  // never returns
-  }
-
   int code = shard_exit::kError;
   try {
     RunnerConfig worker = campaign_;
@@ -271,52 +278,13 @@ void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
     } else {
       code = shard_exit::kAborted;
     }
+  } catch (const std::exception& error) {
+    std::cerr << "shard " << slot.spec.id << ": " << error.what() << "\n";
   } catch (...) {
-    code = shard_exit::kError;
+    std::cerr << "shard " << slot.spec.id << ": unknown exception\n";
   }
   // _Exit: no atexit handlers, no flushing parent-inherited streams.
   std::_Exit(code);
-}
-
-void SupervisorRun::exec_worker(const WorkerSlot& slot, int write_fd,
-                                bool resume, std::uint64_t incarnation) {
-  // Worker stdout/stderr land in a per-shard log (appended across
-  // incarnations) so crash output survives for the operator.
-  const auto log_path = shard_csv_path(slot.spec) + ".log";
-  const int log_fd =
-      ::open(log_path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (log_fd >= 0) {
-    ::dup2(log_fd, 1);
-    ::dup2(log_fd, 2);
-    if (log_fd > 2) ::close(log_fd);
-  }
-
-  std::vector<std::string> args = config_.worker_argv;
-  args.emplace_back("--shard-worker");
-  args.emplace_back("--shard-campaign");
-  args.push_back(campaign_.results_path);
-  args.emplace_back("--shard-lo");
-  args.push_back(std::to_string(slot.spec.lo));
-  args.emplace_back("--shard-hi");
-  args.push_back(std::to_string(slot.spec.hi));
-  args.emplace_back("--shard-results");
-  args.push_back(shard_csv_path(slot.spec));
-  if (!campaign_.journal_path.empty()) {
-    args.emplace_back("--shard-journal");
-    args.push_back(shard_journal_path(slot.spec));
-  }
-  args.emplace_back("--shard-fd");
-  args.push_back(std::to_string(write_fd));
-  args.emplace_back("--shard-incarnation");
-  args.push_back(std::to_string(incarnation));
-  if (resume) args.emplace_back("--shard-resume");
-
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execvp(argv[0], argv.data());
-  std::_Exit(127);
 }
 
 void SupervisorRun::poll_pipes() {
@@ -362,7 +330,12 @@ void SupervisorRun::handle_line(WorkerSlot& slot, std::string_view line) {
   if (line.empty()) return;
   ++report_.heartbeats;
   slot.last_beat_s = obs::monotonic_seconds();
-  if (line[0] == 't') ++slot.progress;
+  if (line[0] != 't') return;
+  ++slot.progress;
+  if (const auto beat = parse_progress(line);
+      beat && beat->tally && beat->trial_index < tallies_.size()) {
+    tallies_[beat->trial_index] = *beat->tally;
+  }
 }
 
 void SupervisorRun::reap() {
@@ -619,6 +592,11 @@ void SupervisorRun::terminate_all() {
 
 void SupervisorRun::finish(SupervisorReport& report) {
   report.final_shards = static_cast<std::uint64_t>(workers_.size());
+  for (const auto& tally : tallies_) {
+    report.campaign.retries += tally.retries;
+    report.campaign.faults_injected += tally.faults_injected;
+    report.campaign.thermal_excursions += tally.thermal_excursions;
+  }
 
   if (stopped_) {
     report.campaign.aborted = true;

@@ -7,13 +7,17 @@
 // supervisor:
 //
 //   * partitions the canonical trial list into contiguous shards and
-//     spawns one worker process per shard — either fork-only workers that
-//     run the campaign in the child (tests), or fork+exec of the harness
-//     binary in `--shard-worker` mode (benches) — each writing its own
-//     `util::Store` artifact set (`<results>.shard<id>` + manifest +
-//     optional journal shard);
+//     forks one worker process per shard, which runs the campaign's
+//     CampaignRunner on its [lo, hi) slice in the child — the trial list
+//     and the chip are already in memory — writing its own `util::Store`
+//     artifact set (`<results>.shard<id>` + manifest + optional journal
+//     shard). A worker's errors go to the inherited stderr, prefixed with
+//     its shard id;
 //   * listens on a per-worker heartbeat pipe (runner/shard.h protocol);
-//     a worker that stops beating past the hang deadline is SIGKILLed;
+//     a worker that stops beating past the hang deadline is SIGKILLed.
+//     Each commit beat carries the trial's retries, injected faults and
+//     thermal excursions, so the merged report counts them like the
+//     unsharded run;
 //   * detects crashes (signal death, nonzero exit, incomplete shard rows
 //     behind a clean exit code), fsck-verifies the dead worker's partial
 //     shard store (truncating to the fsync/commit watermark with repair),
@@ -68,20 +72,17 @@ struct SupervisorConfig {
   std::uint64_t steal_min_remaining = 4;
   /// Supervisor poll granularity (heartbeats, reaping, deadlines).
   int poll_interval_ms = 25;
-  /// Worker argv for fork+exec mode: the harness's own argv, re-run with
-  /// `--shard-worker` flags appended (bench/common.cpp builds this; the
-  /// worker's stdout/stderr land in `<results>.shard<id>.log`). Empty =
-  /// fork-only workers executing the trial list in the child process.
-  std::vector<std::string> worker_argv;
   /// Forwarded to MergeOptions::on_merged: runs once after the canonical
   /// artifacts were merged and verified (the export-index hook).
   std::function<void(const MergeReport&)> on_merged;
 };
 
 struct SupervisorReport {
-  /// The merged campaign, records loaded from the canonical CSV. When a
-  /// shard was quarantined (or the supervisor was stopped) the merge is
-  /// skipped and `campaign.aborted` is set with the reason.
+  /// The merged campaign, records loaded from the canonical CSV; retries,
+  /// faults_injected and thermal_excursions summed from the workers'
+  /// commit heartbeats. When a shard was quarantined (or the supervisor
+  /// was stopped) the merge is skipped and `campaign.aborted` is set with
+  /// the reason.
   CampaignReport campaign;
 
   std::uint64_t shards = 0;          // configured partition size
@@ -102,8 +103,8 @@ class Supervisor {
  public:
   /// `campaign` must name a results_path (shard stores and the shard index
   /// derive from it); observability sinks attach to the supervisor side
-  /// only (workers run clean). The chip is the template for fork-mode
-  /// workers' private sessions, exactly as in CampaignRunner.
+  /// only (workers run clean). The chip is the template for the workers'
+  /// private sessions, exactly as in CampaignRunner.
   Supervisor(bender::HbmChip& chip, RunnerConfig campaign,
              SupervisorConfig config);
 

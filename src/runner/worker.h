@@ -80,10 +80,6 @@ class TrialWorker {
   [[nodiscard]] TrialOutcome run(const CampaignRunner::Trial& trial,
                                  std::uint64_t index);
 
-  [[nodiscard]] const fault::FaultyChip::Stats& stats() const {
-    return faulty_.stats();
-  }
-
  private:
   bool wait_for_guard_band(TrialOutcome& out, std::string* sink,
                            const std::string& key, int attempt);

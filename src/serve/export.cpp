@@ -1,5 +1,6 @@
 #include "serve/export.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "runner/checkpoint.h"
@@ -31,6 +32,18 @@ IndexManifest manifest_for(const ExportSpec& spec) {
   return manifest;
 }
 
+std::vector<std::string> missing_export_columns(
+    const std::vector<std::string>& columns) {
+  std::vector<std::string> missing;
+  for (const char* required : {"row", "hc_first"}) {
+    if (std::find(columns.begin(), columns.end(), required) ==
+        columns.end()) {
+      missing.emplace_back(required);
+    }
+  }
+  return missing;
+}
+
 CampaignExportReport export_campaign_csv(util::Store& store,
                                          const std::string& csv_path,
                                          IndexBuilder& builder) {
@@ -50,12 +63,12 @@ CampaignExportReport export_campaign_csv(util::Store& store,
     }
     return std::nullopt;
   };
-  const auto row_col = column("row");
-  const auto hc_col = column("hc_first");
-  if (!row_col || !hc_col) {
+  if (!missing_export_columns(header_cells).empty()) {
     throw IndexError("export: campaign CSV " + csv_path +
                      " header lacks required column(s) row/hc_first");
   }
+  const auto row_col = column("row");
+  const auto hc_col = column("hc_first");
   const auto channel_col = column("channel");
   auto pc_col = column("pseudo_channel");
   if (!pc_col) pc_col = column("pc");

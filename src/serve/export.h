@@ -45,6 +45,11 @@ struct CampaignExportReport {
   std::uint64_t rows_skipped = 0;  // non-ok status or unparseable cells
 };
 
+/// The required columns ("row", "hc_first") that `columns` lacks; empty
+/// when a campaign with these result columns can be exported.
+[[nodiscard]] std::vector<std::string> missing_export_columns(
+    const std::vector<std::string>& columns);
+
 /// Ingests a campaign checkpoint CSV into `builder` as rung-1 (HC_first)
 /// data. The header row names the columns; "row" and "hc_first" are
 /// required, "channel" / "pseudo_channel" / "bank" / "pattern" /

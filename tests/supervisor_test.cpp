@@ -11,11 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,10 +110,12 @@ void clear_artifacts(const RunnerConfig& config, std::uint64_t max_shards) {
   store->remove(shard_index_path(config.results_path));
 }
 
-/// The uninterrupted single-process `--jobs 1` run: the golden bytes.
+/// The uninterrupted single-process `--jobs 1` run: the golden bytes and
+/// the report's run-local counts.
 struct Golden {
   std::string csv;
   std::string journal;
+  CampaignReport report;
 };
 
 Golden golden_run(const std::string& tag,
@@ -119,9 +127,10 @@ Golden golden_run(const std::string& tag,
   clear_artifacts(config, 0);
   auto chip = fresh_chip();
   CampaignRunner campaign(chip, config);
-  const auto report = campaign.run(trials);
+  auto report = campaign.run(trials);
   EXPECT_FALSE(report.aborted);
-  return {slurp(config.results_path), slurp(config.journal_path)};
+  return {slurp(config.results_path), slurp(config.journal_path),
+          std::move(report)};
 }
 
 /// Supervised fork-mode run; quick watchdog/backoff so injected hangs
@@ -182,6 +191,24 @@ TEST(ShardSetTest, CorruptIndexRejected) {
   EXPECT_FALSE(ShardSet::parse(truncated).has_value());
 }
 
+TEST(HeartbeatTest, ProgressBeatsParse) {
+  const auto resumed = parse_progress("t 17");
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->trial_index, 17u);
+  EXPECT_FALSE(resumed->tally.has_value());
+  const auto committed = parse_progress("t 3 2 5 1");
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_EQ(committed->trial_index, 3u);
+  ASSERT_TRUE(committed->tally.has_value());
+  EXPECT_EQ(committed->tally->retries, 2u);
+  EXPECT_EQ(committed->tally->faults_injected, 5u);
+  EXPECT_EQ(committed->tally->thermal_excursions, 1u);
+  for (const char* bad : {"", "s", "d", "t", "t ", "t x", "t 1 2", "t 1 2 3",
+                          "t 1 2 3 4 5", "t 1  2 3 4", "t 1 2 3 4 "}) {
+    EXPECT_FALSE(parse_progress(bad).has_value()) << bad;
+  }
+}
+
 TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
   reset_graceful_stop();
   const auto trials = make_trials(12);
@@ -201,6 +228,104 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
         << shards << " shards";
   }
+}
+
+TEST(SupervisorTest, ShardedReportCountsFaultsLikeSerial) {
+  // The merged report's retries, injected faults and thermal excursions
+  // come from the workers' commit heartbeats, keyed by trial index: equal
+  // to the serial run's for any shard count, and a trial re-run after a
+  // crash in its commit is counted once.
+  reset_graceful_stop();
+  const auto trials = make_trials(12);
+  fault::FaultPlanConfig faults;
+  faults.transient_rate = 0.3;
+  faults.thermal_rate = 0.2;
+  const auto golden = golden_run("tally_golden", trials, faults);
+  ASSERT_GT(golden.report.retries, 0u);
+  ASSERT_GT(golden.report.faults_injected, 0u);
+  ASSERT_GT(golden.report.thermal_excursions, 0u);
+  for (const auto crash_at : {std::uint64_t{0}, std::uint64_t{5}}) {
+    for (const auto shards : kShardCounts) {
+      const auto tag = "tally_s" + std::to_string(shards) + "_c" +
+                       std::to_string(crash_at);
+      auto config = base_config(tag);
+      config.faults = faults;
+      config.faults.worker.crash_at_trial = crash_at;
+      clear_artifacts(config, shards);
+      auto chip = fresh_chip();
+      Supervisor supervisor(chip, config, counted_supervision(shards));
+      const auto report = supervisor.run(trials);
+      ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+      EXPECT_EQ(report.crashes, crash_at == 0 ? 0u : 1u) << tag;
+      EXPECT_EQ(report.campaign.retries, golden.report.retries) << tag;
+      EXPECT_EQ(report.campaign.faults_injected,
+                golden.report.faults_injected)
+          << tag;
+      EXPECT_EQ(report.campaign.thermal_excursions,
+                golden.report.thermal_excursions)
+          << tag;
+      EXPECT_EQ(slurp(config.results_path), golden.csv) << tag;
+      EXPECT_EQ(slurp(config.journal_path), golden.journal) << tag;
+    }
+  }
+}
+
+TEST(SupervisorTest, WorkerErrorGoesToStderrWithoutRepeatingParentOutput) {
+  // A forked worker inherits the parent's unflushed stdio buffers; its
+  // error message on stderr (tied to std::cout) must not flush them a
+  // second time. The supervisor flushes before every fork.
+  reset_graceful_stop();
+  auto trials = make_trials(4);
+  for (auto& trial : trials) {
+    trial.body = [](bender::ChipSession&) -> std::vector<std::string> {
+      throw std::runtime_error("trial body exploded");
+    };
+  }
+  auto config = base_config("hygiene");
+  clear_artifacts(config, 2);
+  auto supervision = counted_supervision(2);
+  supervision.max_restarts = 0;  // quarantine on the first error exit
+
+  const auto out_path = tmp_path("hygiene.stdout");
+  const auto err_path = tmp_path("hygiene.stderr");
+  std::cout.flush();
+  std::fflush(nullptr);
+  const int saved_out = ::dup(1);
+  const int saved_err = ::dup(2);
+  const int flags = O_CREAT | O_TRUNC | O_WRONLY;
+  const int out_fd = ::open(out_path.c_str(), flags, 0644);
+  const int err_fd = ::open(err_path.c_str(), flags, 0644);
+  ASSERT_GE(out_fd, 0);
+  ASSERT_GE(err_fd, 0);
+  ::dup2(out_fd, 1);
+  ::dup2(err_fd, 2);
+  std::cout << "unflushed parent text";  // no newline, no flush
+  SupervisorReport report;
+  {
+    auto chip = fresh_chip();
+    Supervisor supervisor(chip, config, supervision);
+    report = supervisor.run(trials);
+  }
+  std::cout.flush();
+  std::fflush(nullptr);
+  ::dup2(saved_out, 1);
+  ::dup2(saved_err, 2);
+  for (const int fd : {saved_out, saved_err, out_fd, err_fd}) ::close(fd);
+
+  const auto count = [](const std::string& text, const std::string& what) {
+    std::size_t n = 0;
+    for (auto pos = text.find(what); pos != std::string::npos;
+         pos = text.find(what, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(report.campaign.abort_reason, "shard-quarantined");
+  EXPECT_EQ(report.crashes, 2u);
+  EXPECT_EQ(count(slurp(out_path), "unflushed parent text"), 1u);
+  const auto err = slurp(err_path);
+  EXPECT_EQ(count(err, "shard 0: trial body exploded\n"), 1u) << err;
+  EXPECT_EQ(count(err, "shard 1: trial body exploded\n"), 1u) << err;
 }
 
 TEST(SupervisorTest, CrashInCommitRecoversByteIdentical) {
