@@ -329,6 +329,11 @@ int main(int argc, char** argv) {
     supervision.shards = shards_override ? shards_override : scenario.shards;
     supervision.hang_timeout_s = 1.0;        // wall-clock; keep the bench quick
     supervision.restart_backoff = {5, 0.05, 0.25};
+    // Work stealing races the injected fault on the wall clock (a steal
+    // respawns the victim with worker faults disarmed), so it would make
+    // the spawn/crash/stolen columns timing-dependent. Stealing has its
+    // own coverage in the supervisor tests and the CI shard chaos step.
+    supervision.work_stealing = false;
     runner::Supervisor supervisor(chip, config, supervision);
     const auto srep = supervisor.run(trials);
 

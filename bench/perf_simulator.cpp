@@ -21,6 +21,7 @@
 #include "runner/runner.h"
 #include "study/address_map.h"
 #include "study/hc_first.h"
+#include "util/crc32c.h"
 
 namespace {
 
@@ -33,6 +34,17 @@ dram::StackConfig config() {
 }
 
 constexpr dram::BankAddress kBank{0, 0, 0};
+
+/// Anchor for tools/bench_check.py: CRC32C over a fixed 64 KiB buffer.
+/// It tracks raw CPU speed and executes nothing in src/dram, so no change
+/// to the simulator moves it.
+void BM_CpuAnchor(benchmark::State& state) {
+  const std::string buffer(64 * 1024, '\x5a');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32c(buffer));
+  }
+}
+BENCHMARK(BM_CpuAnchor);
 
 void BM_ActPrePair(benchmark::State& state) {
   dram::Stack stack(config());

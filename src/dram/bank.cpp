@@ -28,6 +28,9 @@ constexpr double kThresholdScanSigma = 6.0;
 /// device.sense_cells_visited / device.sense_word_ops counters.
 constexpr std::size_t kCandidateScanLimit = 512;
 
+/// Physical distances of the victims one activation disturbs.
+constexpr std::array<int, 4> kNeighborDistances = {-2, -1, 1, 2};
+
 /// Memoized per-dose flip probabilities (one normal_cdf per population).
 struct DoseProb {
   double dose;
@@ -198,57 +201,87 @@ void Bank::check_row(int physical_row) const {
   }
 }
 
+Bank::RowState* Bank::peek_state(int physical_row) const {
+  if (!slot_of_row_ || physical_row < 0 || physical_row >= kRowsPerBank) {
+    return nullptr;
+  }
+  const std::uint16_t slot = slot_of_row_[physical_row];
+  return slot == kNoSlot ? nullptr : row_nodes_[slot].get();
+}
+
+Bank::RowState& Bank::add_row(int physical_row) {
+  if (!slot_of_row_) {
+    slot_of_row_ = std::make_unique_for_overwrite<std::uint16_t[]>(
+        static_cast<std::size_t>(kRowsPerBank));
+    std::fill_n(slot_of_row_.get(), kRowsPerBank, kNoSlot);
+  }
+  std::uint16_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint16_t>(row_nodes_.size());
+    row_nodes_.push_back(std::make_unique<RowState>());
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    *row_nodes_[slot] = RowState{};
+  }
+  slot_of_row_[physical_row] = slot;
+  return *row_nodes_[slot];
+}
+
+void Bank::erase_row(int physical_row) {
+  free_slots_.push_back(slot_of_row_[physical_row]);
+  slot_of_row_[physical_row] = kNoSlot;
+}
+
 Bank::RowState& Bank::state(int physical_row, Cycle now) {
   check_row(physical_row);
-  auto [it, inserted] = rows_.try_emplace(physical_row);
-  if (inserted) {
-    RowState& rs = it->second;
-    auto words = rs.bits.words();
-    // A cached summary carries the row's power-on plane verbatim; fresh
-    // materialization of a cached row skips the per-word hash pass.
-    if (const disturb::RowThresholdSummary* cached =
-            threshold_cache_->peek(physical_row)) {
-      std::copy(cached->power_on.begin(), cached->power_on.end(),
-                words.begin());
-    } else {
-      for (int w = 0; w < RowBits::kWords; ++w) {
-        words[static_cast<std::size_t>(w)] =
-            fault_->power_on_word(address_, physical_row, w);
-      }
-    }
-    rs.last_restore = now;
-    if (!layers_.empty()) {
-      // The row had no state at push time: record an erase pre-image.
-      layers_.back().pre.emplace(physical_row, std::nullopt);
-      rs.cow_epoch = cow_epoch_;
-    }
-  } else {
-    cow_touch(physical_row, it->second);
+  if (RowState* existing = peek_state(physical_row)) {
+    cow_touch(physical_row, *existing);
+    return *existing;
   }
-  return it->second;
+  RowState& rs = add_row(physical_row);
+  auto words = rs.bits.words();
+  // A cached summary carries the row's power-on plane verbatim; fresh
+  // materialization of a cached row skips the per-word hash pass.
+  if (const disturb::RowThresholdSummary* cached =
+          threshold_cache_->peek(physical_row)) {
+    std::copy(cached->power_on.begin(), cached->power_on.end(),
+              words.begin());
+  } else {
+    for (int w = 0; w < RowBits::kWords; ++w) {
+      words[static_cast<std::size_t>(w)] =
+          fault_->power_on_word(address_, physical_row, w);
+    }
+  }
+  rs.last_restore = now;
+  if (!layers_.empty()) {
+    // The row had no state at push time: record an erase pre-image.
+    layers_.back().pre.emplace(physical_row, std::nullopt);
+    rs.cow_epoch = cow_epoch_;
+  }
+  return rs;
 }
 
 Bank::RowState* Bank::find_state(int physical_row) {
-  const auto it = rows_.find(physical_row);
-  if (it == rows_.end()) return nullptr;
-  cow_touch(physical_row, it->second);
-  return &it->second;
+  RowState* rs = peek_state(physical_row);
+  if (rs != nullptr) cow_touch(physical_row, *rs);
+  return rs;
 }
 
 const disturb::DoseLedger* Bank::ledger(int physical_row) const {
-  const auto it = rows_.find(physical_row);
-  return it == rows_.end() ? nullptr : &it->second.ledger;
+  const RowState* rs = peek_state(physical_row);
+  return rs == nullptr ? nullptr : &rs->ledger;
 }
 
 const RowBits* Bank::stored_bits(int physical_row) const {
-  const auto it = rows_.find(physical_row);
-  return it == rows_.end() ? nullptr : &it->second.bits;
+  const RowState* rs = peek_state(physical_row);
+  return rs == nullptr ? nullptr : &rs->bits;
 }
 
 std::optional<Cycle> Bank::last_restore(int physical_row) const {
-  const auto it = rows_.find(physical_row);
-  if (it == rows_.end()) return std::nullopt;
-  return it->second.last_restore;
+  const RowState* rs = peek_state(physical_row);
+  if (rs == nullptr) return std::nullopt;
+  return rs->last_restore;
 }
 
 std::size_t Bank::push_checkpoint() {
@@ -273,18 +306,19 @@ void Bank::restore_checkpoint(std::size_t index) {
   // row lands on its value as of the target push.
   for (std::size_t j = layers_.size(); j-- > index;) {
     for (auto& [row, pre] : layers_[j].pre) {
+      RowState* current = peek_state(row);
       if (pre) {
-        if (pre->min_retention_ref_s < 0) {
+        if (current == nullptr) {
+          current = &add_row(row);
+        } else if (pre->min_retention_ref_s < 0) {
           // The retention floor is a pure function of the row's fixed cell
           // parameters, so a value computed after the push is still valid
           // before it — keep it instead of rescanning 8K cells per probe.
-          if (const auto it = rows_.find(row); it != rows_.end()) {
-            pre->min_retention_ref_s = it->second.min_retention_ref_s;
-          }
+          pre->min_retention_ref_s = current->min_retention_ref_s;
         }
-        rows_.insert_or_assign(row, std::move(*pre));
-      } else {
-        rows_.erase(row);
+        *current = std::move(*pre);
+      } else if (current != nullptr) {
+        erase_row(row);
       }
     }
   }
@@ -311,7 +345,9 @@ void Bank::drop_row_states() {
     throw std::logic_error(
         "drop_row_states: checkpoints active (pre-images would dangle)");
   }
-  rows_.clear();
+  slot_of_row_.reset();
+  row_nodes_.clear();
+  free_slots_.clear();
 }
 
 int Bank::open_row() const {
@@ -657,27 +693,19 @@ double Bank::min_retention_ref_seconds(int physical_row) {
                                             a.retention_u);
 }
 
-void Bank::disturb_neighbors(int aggressor_row, const RowState& /*aggressor*/,
+void Bank::disturb_neighbors(int aggressor_row, const RowState& aggressor,
                              double dose, Cycle now) {
-  // First make sure every victim state exists; creating states can rehash
-  // the map, so the aggressor is re-looked-up afterwards.
-  static constexpr int kDistances[] = {-2, -1, 1, 2};
-  for (int d : kDistances) {
+  // Row states are separate nodes, so creating a victim's state leaves
+  // `aggressor` in place.
+  const int subarray = subarray_of_row(aggressor_row);
+  const int lo = subarray_start(subarray);
+  const int hi = subarray_start(subarray + 1);
+  for (int d : kNeighborDistances) {
     const int victim = aggressor_row + d;
-    if (victim < 0 || victim >= kRowsPerBank) continue;
-    if (!same_subarray(aggressor_row, victim)) continue;
-    state(victim, now);
-  }
-  RowState* aggr = find_state(aggressor_row);
-  if (aggr == nullptr) {
-    throw std::logic_error("disturb_neighbors: aggressor has no state");
-  }
-  for (int d : kDistances) {
-    const int victim = aggressor_row + d;
-    if (victim < 0 || victim >= kRowsPerBank) continue;
-    if (!same_subarray(aggressor_row, victim)) continue;
+    if (victim < lo || victim >= hi) continue;
     // The epoch records the aggressor's position relative to the victim.
-    find_state(victim)->ledger.add(-d, aggr->version, aggr->bits, dose);
+    state(victim, now).ledger.add(-d, aggressor.version, aggressor.bits,
+                                  dose);
   }
 }
 
@@ -702,6 +730,10 @@ void Bank::precharge(Cycle now) {
   open_row_.reset();
   const double dose = fault_->taggon_factor(on_cycles);
   RowState* aggr = find_state(aggressor);
+  if (aggr == nullptr) {
+    // Only drop_row_states() between the ACT and this PRE gets here.
+    throw std::logic_error("precharge: open row has no state");
+  }
   disturb_neighbors(aggressor, *aggr, dose, now);
 }
 
@@ -808,13 +840,13 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
     return std::binary_search(hammered_rows.begin(), hammered_rows.end(),
                               row);
   };
-  static constexpr int kDistances[] = {-2, -1, 1, 2};
   struct HammeredRow {
     int row;
     Cycle first_offset;
     Cycle last_offset;
     RowState* state = nullptr;
-    std::array<RowState*, 4> victims{};  // by kDistances index; null = skip
+    /// By kNeighborDistances index; null = skip.
+    std::array<RowState*, kNeighborDistances.size()> victims{};
   };
   std::vector<HammeredRow> rows_hit;
   rows_hit.reserve(steps.size());
@@ -838,29 +870,20 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
   // Sense every hammered row once at its first activation, so pre-existing
   // dose materializes before the burst restores it. (Later activations of
   // the same row within the burst sense a just-restored row: a no-op.)
-  for (const auto& hr : rows_hit) {
-    RowState& rs = state(hr.row, start);
-    sense_and_restore(hr.row, rs, start + hr.first_offset);
-  }
-  // Materialize all victim states up front (inserts may rehash), then
-  // resolve the pointers once; no inserts happen after this block.
-  for (const auto& hr : rows_hit) {
-    for (int d : kDistances) {
-      const int victim = hr.row + d;
-      if (victim < 0 || victim >= kRowsPerBank) continue;
-      if (!same_subarray(hr.row, victim)) continue;
-      if (is_hammered(victim)) continue;
-      state(victim, start);
-    }
-  }
   for (auto& hr : rows_hit) {
-    hr.state = find_state(hr.row);
-    for (std::size_t di = 0; di < 4; ++di) {
-      const int victim = hr.row + kDistances[di];
-      if (victim < 0 || victim >= kRowsPerBank) continue;
-      if (!same_subarray(hr.row, victim)) continue;
-      if (is_hammered(victim)) continue;
-      hr.victims[di] = find_state(victim);
+    hr.state = &state(hr.row, start);
+    sense_and_restore(hr.row, *hr.state, start + hr.first_offset);
+  }
+  // Resolve every victim once (row states are separate nodes, so the
+  // pointers survive later inserts).
+  for (auto& hr : rows_hit) {
+    const int subarray = subarray_of_row(hr.row);
+    const int lo = subarray_start(subarray);
+    const int hi = subarray_start(subarray + 1);
+    for (std::size_t di = 0; di < kNeighborDistances.size(); ++di) {
+      const int victim = hr.row + kNeighborDistances[di];
+      if (victim < lo || victim >= hi || is_hammered(victim)) continue;
+      hr.victims[di] = &state(victim, start);
     }
   }
 
@@ -872,11 +895,11 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const HammeredRow& hr = rows_hit[row_of_step[k]];
     const double unit = fault_->taggon_factor(steps[k].on_cycles);
-    for (std::size_t di = 0; di < 4; ++di) {
+    for (std::size_t di = 0; di < kNeighborDistances.size(); ++di) {
       RowState* victim = hr.victims[di];
       if (victim == nullptr) continue;
-      victim->ledger.add(-kDistances[di], hr.state->version, hr.state->bits,
-                         unit, iterations);
+      victim->ledger.add(-kNeighborDistances[di], hr.state->version,
+                         hr.state->bits, unit, iterations);
     }
     if (defense_) {
       defense_->on_activate_bulk(hr.row, iterations, end);

@@ -4,9 +4,12 @@
 //
 // Memory model: only rows that have been touched (written, activated, or
 // disturbed) carry state; everything else is implicit (power-on contents,
-// fully charged). A touched row costs ~1 KiB plus its dose epochs.
+// fully charged). A touched row costs ~1 KiB plus its dose epochs, and a
+// touched bank adds a 32 KiB dense row index (2 bytes per physical row);
+// an untouched bank allocates nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,7 +56,27 @@ struct BankCounters {
   /// per-bit work inside bitplane scans. The ratio to sense_word_ops makes
   /// the candidate-scan-vs-bitplane crossover observable per campaign.
   std::uint64_t sense_cells_visited = 0;
+
+  BankCounters& operator+=(const BankCounters& other);
+  friend bool operator==(const BankCounters&, const BankCounters&) = default;
 };
+
+/// Every BankCounters field, in declaration order (summing, encoding).
+inline constexpr std::array<std::uint64_t BankCounters::*, 9>
+    kBankCounterFields = {&BankCounters::activations,
+                          &BankCounters::refresh_commands,
+                          &BankCounters::defense_victim_refreshes,
+                          &BankCounters::bitflips_materialized,
+                          &BankCounters::bulk_hammer_windows,
+                          &BankCounters::hammer_dedup_hits,
+                          &BankCounters::dose_memo_evictions,
+                          &BankCounters::sense_word_ops,
+                          &BankCounters::sense_cells_visited};
+
+inline BankCounters& BankCounters::operator+=(const BankCounters& other) {
+  for (const auto field : kBankCounterFields) this->*field += other.*field;
+  return *this;
+}
 
 /// One activation of the hammer fast path: a row kept open for `on_cycles`.
 struct HammerStep {
@@ -164,7 +187,9 @@ class Bank {
   void drop_row_states();
 
   /// Number of rows currently carrying state.
-  [[nodiscard]] std::size_t touched_rows() const { return rows_.size(); }
+  [[nodiscard]] std::size_t touched_rows() const {
+    return row_nodes_.size() - free_slots_.size();
+  }
 
   /// Cumulative device-side event counters.
   [[nodiscard]] const BankCounters& counters() const { return counters_; }
@@ -204,6 +229,17 @@ class Bank {
 
   RowState& state(int physical_row, Cycle now);
   [[nodiscard]] RowState* find_state(int physical_row);
+
+  /// The row's state without a copy-on-write touch; null when the row has
+  /// none (including rows outside the bank).
+  [[nodiscard]] RowState* peek_state(int physical_row) const;
+
+  /// Gives a row without state a default-initialized node (recycled from
+  /// the free list when one is there) and indexes it.
+  RowState& add_row(int physical_row);
+
+  /// Unindexes a row that has state; its node goes to the free list.
+  void erase_row(int physical_row);
 
   /// Records `rs`'s pre-image into the top checkpoint layer if it has not
   /// been recorded since the layer became top. Called from every state
@@ -272,7 +308,15 @@ class Bank {
 
   std::optional<int> open_row_;
   int refresh_pointer_ = 0;
-  std::unordered_map<int, RowState> rows_;
+  /// Dense row-state index: slot_of_row_[row] is the row's node in
+  /// row_nodes_, or kNoSlot. Allocated on the bank's first touch. Nodes are
+  /// separate heap objects, so a RowState* stays valid while other rows
+  /// gain state; nodes of rows a restore erased wait in free_slots_.
+  static constexpr std::uint16_t kNoSlot = 0xFFFF;
+  static_assert(kRowsPerBank < kNoSlot);
+  std::unique_ptr<std::uint16_t[]> slot_of_row_;
+  std::vector<std::unique_ptr<RowState>> row_nodes_;
+  std::vector<std::uint16_t> free_slots_;
   /// Active checkpoint ladder (oldest first) and the generation counter
   /// that invalidates RowState::cow_epoch tags; bumped on every push and
   /// restore so stale tags never suppress a needed pre-image copy.

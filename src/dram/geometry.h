@@ -83,26 +83,51 @@ inline constexpr int kLastSubarray = 20;
   return kSubarraySizeSmall;
 }
 
-/// First physical row of the given subarray.
+/// First physical row of each subarray; entry kSubarrays is kRowsPerBank
+/// (one past the last row), so subarray s spans [bounds[s], bounds[s + 1]).
+inline constexpr std::array<int, kSubarrays + 1> kSubarrayBounds = [] {
+  std::array<int, kSubarrays + 1> bounds{};
+  for (int s = 0; s < kSubarrays; ++s) {
+    bounds[static_cast<std::size_t>(s) + 1] =
+        bounds[static_cast<std::size_t>(s)] + subarray_size(s);
+  }
+  return bounds;
+}();
+
+static_assert(kSubarrayBounds[kSubarrays] == kRowsPerBank);
+
+/// First physical row of the given subarray (kSubarrays: kRowsPerBank).
 [[nodiscard]] constexpr int subarray_start(int subarray) {
-  int start = 0;
-  for (int s = 0; s < subarray; ++s) start += subarray_size(s);
-  return start;
+  return kSubarrayBounds[static_cast<std::size_t>(subarray)];
 }
 
-static_assert(subarray_start(kSubarrays - 1) +
-                  subarray_size(kSubarrays - 1) ==
-              kRowsPerBank);
+/// Every subarray size is a multiple of 64 rows, so each aligned 64-row
+/// block lies in one subarray: the subarray of a row is one table lookup.
+inline constexpr int kSubarrayBlockRows = 64;
+inline constexpr std::array<std::uint8_t, kRowsPerBank / kSubarrayBlockRows>
+    kSubarrayOfBlock = [] {
+      std::array<std::uint8_t, kRowsPerBank / kSubarrayBlockRows> table{};
+      int s = 0;
+      for (std::size_t b = 0; b < table.size(); ++b) {
+        if (static_cast<int>(b) * kSubarrayBlockRows ==
+            subarray_start(s + 1)) {
+          ++s;
+        }
+        table[b] = static_cast<std::uint8_t>(s);
+      }
+      return table;
+    }();
 
-/// Subarray index that contains a physical row.
+static_assert(kSubarraySizeLarge % kSubarrayBlockRows == 0 &&
+              kSubarraySizeSmall % kSubarrayBlockRows == 0);
+
+/// Subarray index that contains a physical row. Rows below the bank map to
+/// the first subarray and rows past it to the last.
 [[nodiscard]] constexpr int subarray_of_row(int physical_row) {
-  int start = 0;
-  for (int s = 0; s < kSubarrays; ++s) {
-    const int size = subarray_size(s);
-    if (physical_row < start + size) return s;
-    start += size;
-  }
-  return kSubarrays - 1;  // unreachable for valid rows
+  if (physical_row < 0) return 0;
+  if (physical_row >= kRowsPerBank) return kSubarrays - 1;
+  return kSubarrayOfBlock[static_cast<std::size_t>(physical_row /
+                                                   kSubarrayBlockRows)];
 }
 
 /// Row position inside its subarray, in [0, subarray_size).

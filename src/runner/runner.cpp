@@ -34,18 +34,6 @@ struct Recovery {
   std::uint64_t incarnations = 0;
 };
 
-void accumulate(dram::BankCounters& into, const dram::BankCounters& delta) {
-  into.activations += delta.activations;
-  into.refresh_commands += delta.refresh_commands;
-  into.defense_victim_refreshes += delta.defense_victim_refreshes;
-  into.bitflips_materialized += delta.bitflips_materialized;
-  into.bulk_hammer_windows += delta.bulk_hammer_windows;
-  into.hammer_dedup_hits += delta.hammer_dedup_hits;
-  into.dose_memo_evictions += delta.dose_memo_evictions;
-  into.sense_word_ops += delta.sense_word_ops;
-  into.sense_cells_visited += delta.sense_cells_visited;
-}
-
 /// Deterministic counter names pre-registered at campaign start, so every
 /// snapshot carries the full catalog even when a count stays zero (the CI
 /// smoke job diffs the key set). docs/OBSERVABILITY.md documents each.
@@ -222,6 +210,17 @@ const char* to_string(TrialStatus status) {
     case TrialStatus::kNotRun: return "not-run";
   }
   return "unknown";
+}
+
+void CampaignReport::add(const TrialTally& tally) {
+  retries += tally.retries;
+  faults_injected += tally.faults_injected;
+  thermal_excursions += tally.thermal_excursions;
+  guard_blocks += tally.guard_blocks;
+  guard_wait_s += tally.guard_wait_s;
+  backoff_wait_s += tally.backoff_wait_s;
+  campaign_seconds += tally.trial_s;
+  device_counters += tally.device;
 }
 
 double CampaignReport::completion_rate() const {
@@ -588,14 +587,15 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       std::rethrow_exception(out.error);
     }
     journal.append(out.journal);
-    report.retries += out.retries;
-    report.faults_injected += out.fault_delta.injected_total;
-    report.thermal_excursions += out.fault_delta.thermal_excursions;
-    report.guard_blocks += out.guard_blocks;
-    report.guard_wait_s += out.guard_wait_s;
-    report.backoff_wait_s += out.backoff_wait_s;
-    report.campaign_seconds += out.trial_s;
-    accumulate(report.device_counters, out.device);
+    const TrialTally tally{out.retries,
+                           out.fault_delta.injected_total,
+                           out.fault_delta.thermal_excursions,
+                           out.guard_blocks,
+                           out.guard_wait_s,
+                           out.backoff_wait_s,
+                           out.trial_s,
+                           out.device};
+    report.add(tally);
     meter_trial(out);
 
     if (out.fatal) {
@@ -649,9 +649,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       }
     }
     if (!heartbeat_muted) {
-      heartbeat.progress(static_cast<std::uint64_t>(i),
-                         {out.retries, out.fault_delta.injected_total,
-                          out.fault_delta.thermal_excursions});
+      heartbeat.progress(static_cast<std::uint64_t>(i), tally);
     }
     report_progress();
     report.records.push_back(std::move(out.record));

@@ -178,6 +178,11 @@ struct CampaignReport {
   /// this campaign, so the header was rebuilt rather than rejected.
   bool checkpoint_header_rebuilt = false;
 
+  /// Adds one trial's run-local counts and costs to the totals above. The
+  /// runner adds each trial in commit order; the supervisor adds its
+  /// workers' heartbeat tallies in trial-index order, the same sums.
+  void add(const TrialTally& tally);
+
   /// Fraction of attempted trials that produced a committed result.
   [[nodiscard]] double completion_rate() const;
   [[nodiscard]] std::vector<std::string> quarantined_keys() const;

@@ -2,8 +2,9 @@
 
 #include <unistd.h>
 
-#include <array>
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,28 @@ namespace hbmrd::runner {
 namespace {
 
 volatile std::sig_atomic_t g_stop_requested = 0;
+
+/// Calls `count(field)` for each integer field of a TrialTally and
+/// `seconds(field)` for each double, in wire order.
+template <typename Tally, typename Count, typename Seconds>
+constexpr void visit_tally_fields(Tally& tally, Count count, Seconds seconds) {
+  count(tally.retries);
+  count(tally.faults_injected);
+  count(tally.thermal_excursions);
+  count(tally.guard_blocks);
+  seconds(tally.guard_wait_s);
+  seconds(tally.backoff_wait_s);
+  seconds(tally.trial_s);
+  for (const auto field : dram::kBankCounterFields) count(tally.device.*field);
+}
+
+constexpr std::size_t kTallyFields = [] {
+  TrialTally tally;
+  std::size_t fields = 0;
+  const auto one = [&](auto&) { ++fields; };
+  visit_tally_fields(tally, one, one);
+  return fields;
+}();
 
 extern "C" void graceful_stop_handler(int /*signo*/) {
   if (g_stop_requested != 0) {
@@ -88,13 +111,20 @@ void HeartbeatEmitter::progress(std::uint64_t trial_index) {
 void HeartbeatEmitter::progress(std::uint64_t trial_index,
                                 const TrialTally& tally) {
   if (!enabled()) return;
-  const int n = std::snprintf(
-      buf_, sizeof(buf_), "t %llu %llu %llu %llu\n",
-      static_cast<unsigned long long>(trial_index),
-      static_cast<unsigned long long>(tally.retries),
-      static_cast<unsigned long long>(tally.faults_injected),
-      static_cast<unsigned long long>(tally.thermal_excursions));
-  if (n > 0) send(buf_, static_cast<std::size_t>(n));
+  char* out = buf_;
+  char* const end = buf_ + sizeof(buf_);
+  *out++ = 't';
+  const auto put = [&](std::uint64_t value, int base) {
+    *out++ = ' ';
+    out = std::to_chars(out, end, value, base).ptr;
+  };
+  put(trial_index, 10);
+  visit_tally_fields(tally, [&](std::uint64_t value) { put(value, 10); },
+                     [&](double value) {
+                       put(std::bit_cast<std::uint64_t>(value), 16);
+                     });
+  *out++ = '\n';
+  send(buf_, static_cast<std::size_t>(out - buf_));
 }
 
 void HeartbeatEmitter::done() {
@@ -104,22 +134,33 @@ void HeartbeatEmitter::done() {
 
 std::optional<ProgressBeat> parse_progress(std::string_view line) {
   if (line.substr(0, 2) != "t ") return std::nullopt;
-  std::array<std::uint64_t, 4> fields{};
-  std::size_t count = 0;
+  std::vector<std::string_view> fields;
   for (std::size_t start = 2; start <= line.size();) {
     auto end = line.find(' ', start);
     if (end == std::string_view::npos) end = line.size();
-    const auto value = util::parse_u64(line.substr(start, end - start));
-    if (!value || count == fields.size()) return std::nullopt;
-    fields[count++] = *value;
+    fields.push_back(line.substr(start, end - start));
     start = end + 1;
   }
-  if (count != 1 && count != fields.size()) return std::nullopt;
+  const auto index = util::parse_u64(fields[0]);
+  if (!index) return std::nullopt;
   ProgressBeat beat;
-  beat.trial_index = fields[0];
-  if (count == fields.size()) {
-    beat.tally = TrialTally{fields[1], fields[2], fields[3]};
-  }
+  beat.trial_index = *index;
+  if (fields.size() == 1) return beat;
+  if (fields.size() != 1 + kTallyFields) return std::nullopt;
+  TrialTally tally;
+  std::size_t next = 1;
+  bool ok = true;
+  const auto take = [&](int base) {
+    const auto value = util::parse_u64(fields[next++], base);
+    ok = ok && value.has_value();
+    return value.value_or(0);
+  };
+  visit_tally_fields(tally, [&](std::uint64_t& value) { value = take(10); },
+                     [&](double& value) {
+                       value = std::bit_cast<double>(take(16));
+                     });
+  if (!ok) return std::nullopt;
+  beat.tally = tally;
   return beat;
 }
 

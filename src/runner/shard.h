@@ -30,6 +30,8 @@
 #include <string_view>
 #include <vector>
 
+#include "dram/bank.h"
+
 namespace hbmrd::runner {
 
 /// Exit codes a shard worker process reports to the supervisor. 0/3/4 all
@@ -59,14 +61,22 @@ struct ShardWorkerConfig {
   std::uint64_t incarnation = 0;
 };
 
-/// Run-local counts of one trial committed by a worker, carried on its
-/// progress heartbeat so the supervisor's report counts what the unsharded
-/// run's report counts (thermal excursions are never journaled, so the
-/// merged artifacts cannot supply them).
+/// Run-local counts and costs of one trial committed by a worker, carried
+/// on its progress heartbeat so the supervisor's report sums what the
+/// unsharded run's report sums (thermal excursions, waits, simulated time
+/// and device counters are never journaled, so the merged artifacts cannot
+/// supply them).
 struct TrialTally {
   std::uint64_t retries = 0;
   std::uint64_t faults_injected = 0;
   std::uint64_t thermal_excursions = 0;
+  std::uint64_t guard_blocks = 0;
+  double guard_wait_s = 0.0;
+  double backoff_wait_s = 0.0;
+  double trial_s = 0.0;  // simulated rig seconds
+  dram::BankCounters device;
+
+  friend bool operator==(const TrialTally&, const TrialTally&) = default;
 };
 
 /// Allocation-free heartbeat protocol, worker side. One text line per
@@ -74,9 +84,13 @@ struct TrialTally {
 ///   "s\n"          hello — the worker entered its campaign
 ///   "t <index>\n"  progress — global trial <index> was found committed
 ///                  (resumed from the shard checkpoint)
-///   "t <index> <retries> <faults> <thermal>\n"
+///   "t <index> <tally...>\n"
 ///                  progress — global trial <index> was committed by this
-///                  incarnation, with its TrialTally
+///                  incarnation, with its TrialTally: the fields in
+///                  declaration order (device counters in
+///                  dram::kBankCounterFields order), counts in decimal,
+///                  seconds as the hex digits of the double's bit pattern,
+///                  so the supervisor sums exactly what the worker saw
 ///   "d\n"          done — every trial in the shard range is committed
 /// Writes are EINTR-safe; a dead supervisor (EPIPE) mutes the emitter
 /// instead of killing the worker (SIGPIPE must be ignored; the supervisor
@@ -96,8 +110,8 @@ class HeartbeatEmitter {
   void send(const char* bytes, std::size_t len);
 
   int fd_ = -1;
-  /// Pre-reserved encode buffer: "t" plus four 20-digit fields worst case.
-  char buf_[96];
+  /// Pre-reserved encode buffer: "t" plus 17 fields of at most 20 digits.
+  char buf_[384];
 };
 
 /// A decoded "t" heartbeat line.

@@ -60,6 +60,15 @@ struct WorkerSlot {
   return cursor == trial_count;
 }
 
+/// Writes "shard <id>: <what>" to the inherited stderr in one write(2):
+/// workers share the parent's stderr, and a line written in pieces (as
+/// std::cerr does per <<) interleaves with another failing worker's.
+void write_worker_error(std::uint64_t shard_id, const std::string& what) {
+  const std::string line =
+      "shard " + std::to_string(shard_id) + ": " + what + "\n";
+  [[maybe_unused]] const auto written = ::write(2, line.data(), line.size());
+}
+
 /// The full orchestration state for one Supervisor::run() call.
 class SupervisorRun {
  public:
@@ -279,9 +288,9 @@ void SupervisorRun::child_main(const WorkerSlot& slot, int write_fd,
       code = shard_exit::kAborted;
     }
   } catch (const std::exception& error) {
-    std::cerr << "shard " << slot.spec.id << ": " << error.what() << "\n";
+    write_worker_error(slot.spec.id, error.what());
   } catch (...) {
-    std::cerr << "shard " << slot.spec.id << ": unknown exception\n";
+    write_worker_error(slot.spec.id, "unknown exception");
   }
   // _Exit: no atexit handlers, no flushing parent-inherited streams.
   std::_Exit(code);
@@ -592,11 +601,7 @@ void SupervisorRun::terminate_all() {
 
 void SupervisorRun::finish(SupervisorReport& report) {
   report.final_shards = static_cast<std::uint64_t>(workers_.size());
-  for (const auto& tally : tallies_) {
-    report.campaign.retries += tally.retries;
-    report.campaign.faults_injected += tally.faults_injected;
-    report.campaign.thermal_excursions += tally.thermal_excursions;
-  }
+  for (const auto& tally : tallies_) report.campaign.add(tally);
 
   if (stopped_) {
     report.campaign.aborted = true;

@@ -78,9 +78,10 @@ struct SupervisorConfig {
 };
 
 struct SupervisorReport {
-  /// The merged campaign, records loaded from the canonical CSV; retries,
-  /// faults_injected and thermal_excursions summed from the workers'
-  /// commit heartbeats. When a shard was quarantined (or the supervisor
+  /// The merged campaign, records loaded from the canonical CSV; the
+  /// run-local totals (retries, faults, waits, campaign_seconds,
+  /// device_counters) summed from the workers' commit heartbeats by trial
+  /// index (CampaignReport::add). When a shard was quarantined (or the supervisor
   /// was stopped) the merge is skipped and `campaign.aborted` is set with
   /// the reason.
   CampaignReport campaign;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "disturb/fault_model.h"
 #include "disturb/threshold_cache.h"
@@ -372,6 +374,144 @@ TEST(Bank, DropRowStatesReclaimsMemory) {
   EXPECT_EQ(t.bank.touched_rows(), 0u);
   // Contents revert to power-on garbage.
   EXPECT_NE(t.read_row(100), RowBits::filled(0xFF));
+}
+
+TEST(Bank, NeighbourStateStaysInsideTheSubarray) {
+  // Aggressors at both bank ends and at both edges of subarray boundaries
+  // (0|1 at row 832, 9|10 at row 7744): victim state only on this side.
+  struct Case {
+    int aggressor;
+    std::vector<int> victims;
+  };
+  const std::vector<Case> cases = {
+      {0, {1, 2}},
+      {kRowsPerBank - 1, {kRowsPerBank - 3, kRowsPerBank - 2}},
+      {831, {829, 830}},
+      {832, {833, 834}},
+      {7743, {7741, 7742}},
+      {7744, {7745, 7746}},
+  };
+  for (const auto& c : cases) {
+    for (const bool bulk : {false, true}) {
+      TestBank t;
+      if (bulk) {
+        const std::array<HammerStep, 1> steps = {
+            HammerStep{c.aggressor, t.timing.t_ras}};
+        t.bank.bulk_hammer(steps, 1000, t.now);
+      } else {
+        t.bank.activate(c.aggressor, t.now);
+        t.bank.precharge(t.now + t.timing.t_ras);
+      }
+      EXPECT_EQ(t.bank.touched_rows(), 1 + c.victims.size())
+          << c.aggressor << (bulk ? " bulk" : " act");
+      for (int d = -2; d <= 2; ++d) {
+        const int row = c.aggressor + d;
+        if (d == 0) {
+          EXPECT_NE(t.bank.stored_bits(row), nullptr) << row;
+          continue;
+        }
+        const bool victim = std::find(c.victims.begin(), c.victims.end(),
+                                      row) != c.victims.end();
+        const auto* ledger = t.bank.ledger(row);
+        EXPECT_EQ(ledger != nullptr, victim) << c.aggressor << " -> " << row;
+        if (victim && ledger != nullptr) {
+          EXPECT_FALSE(ledger->empty()) << row;
+        }
+      }
+    }
+  }
+}
+
+void expect_same_row(const Bank& got, const Bank& want, int row) {
+  const auto* got_ledger = got.ledger(row);
+  const auto* want_ledger = want.ledger(row);
+  ASSERT_EQ(got_ledger != nullptr, want_ledger != nullptr) << row;
+  if (want_ledger == nullptr) return;
+  EXPECT_EQ(*got.stored_bits(row), *want.stored_bits(row)) << row;
+  EXPECT_EQ(got.last_restore(row), want.last_restore(row)) << row;
+  const auto& got_epochs = got_ledger->epochs();
+  const auto& want_epochs = want_ledger->epochs();
+  ASSERT_EQ(got_epochs.size(), want_epochs.size()) << row;
+  for (std::size_t i = 0; i < want_epochs.size(); ++i) {
+    EXPECT_EQ(got_epochs[i].distance, want_epochs[i].distance) << row;
+    EXPECT_EQ(got_epochs[i].aggressor_version,
+              want_epochs[i].aggressor_version)
+        << row;
+    EXPECT_EQ(got_epochs[i].unit, want_epochs[i].unit) << row;
+    EXPECT_EQ(got_epochs[i].count, want_epochs[i].count) << row;
+    EXPECT_EQ(got_epochs[i].aggressor_bits, want_epochs[i].aggressor_bits)
+        << row;
+  }
+}
+
+TEST(Bank, RowsErasedByRestoreAndTouchedAgainMatchAFreshBank) {
+  // A restore erases the rows that gained state after the push; touching
+  // them again reuses their slots. The bank must then equal a fresh bank
+  // that only ever saw the commands the restore kept.
+  const auto setup = [](TestBank& t) {
+    t.write_row(kVictim, RowBits::filled(0x55));
+    t.write_row(kVictim - 1, RowBits::filled(0xAA));
+    t.write_row(kVictim + 1, RowBits::filled(0xAA));
+  };
+  TestBank restored;
+  TestBank fresh;
+  setup(restored);
+  setup(fresh);
+  const std::size_t touched_at_push = fresh.bank.touched_rows();
+  const std::size_t checkpoint = restored.bank.push_checkpoint();
+  restored.write_row(1002, RowBits::filled(0x0F));
+  restored.hammer(2001, 5000);
+  restored.hammer(kVictim, 3000);
+  ASSERT_GT(restored.bank.touched_rows(), touched_at_push + 10);
+  restored.bank.restore_checkpoint(checkpoint);
+  restored.bank.discard_checkpoints();
+  EXPECT_EQ(restored.bank.touched_rows(), touched_at_push);
+
+  restored.now = fresh.now = std::max(restored.now, fresh.now);
+  const auto replay = [](TestBank& t) {
+    t.write_row(2002, RowBits::filled(0x33));
+    t.hammer(2001, 4000);
+    t.write_row(1003, RowBits::filled(0xC3));
+    t.hammer(kVictim, 2000);
+    t.hammer(3001, 1000);
+  };
+  replay(restored);
+  replay(fresh);
+  EXPECT_EQ(restored.bank.touched_rows(), fresh.bank.touched_rows());
+  for (int base : {1002, 2001, 3001, kVictim}) {
+    for (int row = base - 4; row <= base + 4; ++row) {
+      expect_same_row(restored.bank, fresh.bank, row);
+    }
+  }
+}
+
+TEST(Bank, DropRowStatesEmptiesTheIndex) {
+  TestBank t;
+  t.write_row(100, RowBits::filled(0xFF));
+  const std::size_t checkpoint = t.bank.push_checkpoint();
+  t.write_row(500, RowBits::filled(0xFF));
+  t.bank.restore_checkpoint(checkpoint);  // rows 498..502 go to free slots
+  t.bank.discard_checkpoints();
+  EXPECT_EQ(t.bank.touched_rows(), 5u);  // row 100 and its four victims
+  t.bank.drop_row_states();
+  EXPECT_EQ(t.bank.touched_rows(), 0u);
+  EXPECT_EQ(t.bank.ledger(101), nullptr);
+  EXPECT_EQ(t.bank.stored_bits(100), nullptr);
+  t.write_row(500, RowBits::filled(0xFF));
+  EXPECT_EQ(t.bank.touched_rows(), 5u);
+  EXPECT_EQ(t.bank.ledger(100), nullptr);
+}
+
+TEST(Bank, DiagnosticAccessorsRejectRowsOutsideTheBank) {
+  TestBank t;
+  for (const bool touched : {false, true}) {
+    if (touched) t.write_row(0, RowBits::filled(0xFF));
+    for (int row : {-1, kRowsPerBank}) {
+      EXPECT_EQ(t.bank.ledger(row), nullptr) << row;
+      EXPECT_EQ(t.bank.stored_bits(row), nullptr) << row;
+      EXPECT_FALSE(t.bank.last_restore(row).has_value()) << row;
+    }
+  }
 }
 
 }  // namespace

@@ -76,6 +76,35 @@ TEST(Subarrays, RowLookupsAreConsistent) {
   EXPECT_EQ(subarray_of_row(kRowsPerBank - 1), kSubarrays - 1);
 }
 
+TEST(Subarrays, TableLookupsMatchLinearDefinitions) {
+  // The linear scans the O(1) tables replace.
+  const auto linear_start = [](int subarray) {
+    int start = 0;
+    for (int s = 0; s < subarray; ++s) start += subarray_size(s);
+    return start;
+  };
+  const auto linear_subarray = [](int row) {
+    int start = 0;
+    for (int s = 0; s < kSubarrays; ++s) {
+      if (row < start + subarray_size(s)) return s;
+      start += subarray_size(s);
+    }
+    return kSubarrays - 1;
+  };
+  for (int s = 0; s <= kSubarrays; ++s) {
+    EXPECT_EQ(subarray_start(s), linear_start(s)) << s;
+  }
+  for (int row = 0; row < kRowsPerBank; ++row) {
+    const int s = linear_subarray(row);
+    ASSERT_EQ(subarray_of_row(row), s) << row;
+    ASSERT_EQ(position_in_subarray(row), row - linear_start(s)) << row;
+  }
+  // Rows outside the bank clamp to the first and last subarray.
+  for (int row : {-65, -1, kRowsPerBank, kRowsPerBank + 64}) {
+    EXPECT_EQ(subarray_of_row(row), linear_subarray(row)) << row;
+  }
+}
+
 TEST(Subarrays, SameSubarrayAtBoundaries) {
   const int boundary = subarray_start(1);
   EXPECT_FALSE(same_subarray(boundary - 1, boundary));

@@ -156,6 +156,20 @@ SupervisorConfig counted_supervision(std::uint64_t shards) {
 
 const std::uint64_t kShardCounts[] = {1, 2, 4};
 
+/// The run-local totals a sharded report folds from commit heartbeats must
+/// equal the serial report's exactly, simulated seconds included.
+void expect_same_totals(const CampaignReport& got, const CampaignReport& want,
+                        const std::string& tag) {
+  EXPECT_EQ(got.retries, want.retries) << tag;
+  EXPECT_EQ(got.faults_injected, want.faults_injected) << tag;
+  EXPECT_EQ(got.thermal_excursions, want.thermal_excursions) << tag;
+  EXPECT_EQ(got.guard_blocks, want.guard_blocks) << tag;
+  EXPECT_EQ(got.guard_wait_s, want.guard_wait_s) << tag;
+  EXPECT_EQ(got.backoff_wait_s, want.backoff_wait_s) << tag;
+  EXPECT_EQ(got.campaign_seconds, want.campaign_seconds) << tag;
+  EXPECT_EQ(got.device_counters, want.device_counters) << tag;
+}
+
 TEST(ShardSetTest, SerializeParseRoundtrip) {
   ShardSet set;
   set.trial_count = 12;
@@ -196,17 +210,62 @@ TEST(HeartbeatTest, ProgressBeatsParse) {
   ASSERT_TRUE(resumed.has_value());
   EXPECT_EQ(resumed->trial_index, 17u);
   EXPECT_FALSE(resumed->tally.has_value());
-  const auto committed = parse_progress("t 3 2 5 1");
+  // Counts in decimal; guard wait 1.5 s, backoff 0 s and trial 0.1 s as
+  // the hex bits of the doubles; then the nine device counters.
+  const auto committed = parse_progress(
+      "t 3 2 5 1 4 3ff8000000000000 0 3fb999999999999a "
+      "10 11 12 13 14 15 16 17 18");
   ASSERT_TRUE(committed.has_value());
   EXPECT_EQ(committed->trial_index, 3u);
   ASSERT_TRUE(committed->tally.has_value());
   EXPECT_EQ(committed->tally->retries, 2u);
   EXPECT_EQ(committed->tally->faults_injected, 5u);
   EXPECT_EQ(committed->tally->thermal_excursions, 1u);
-  for (const char* bad : {"", "s", "d", "t", "t ", "t x", "t 1 2", "t 1 2 3",
-                          "t 1 2 3 4 5", "t 1  2 3 4", "t 1 2 3 4 "}) {
+  EXPECT_EQ(committed->tally->guard_blocks, 4u);
+  EXPECT_EQ(committed->tally->guard_wait_s, 1.5);
+  EXPECT_EQ(committed->tally->backoff_wait_s, 0.0);
+  EXPECT_EQ(committed->tally->trial_s, 0.1);
+  EXPECT_EQ(committed->tally->device.activations, 10u);
+  EXPECT_EQ(committed->tally->device.sense_cells_visited, 18u);
+  for (const char* bad :
+       {"", "s", "d", "t", "t ", "t x", "t 1 2", "t 1 2 3", "t 3 2 5 1",
+        "t 1 2 3 4 5", "t 1  2 3 4", "t 1 2 3 4 ",
+        "t 3 2 5 1 4 3ff8000000000000 0 3fb999999999999a "
+        "10 11 12 13 14 15 16 17",
+        "t 3 2 5 1 4 3ff8000000000000 0 0x3fb999999999999a "
+        "10 11 12 13 14 15 16 17 18",
+        "t 3 2 5 1 4 3ff8000000000000 0 3fb999999999999a "
+        "10 11 12 13 14 15 16 17 18 "}) {
     EXPECT_FALSE(parse_progress(bad).has_value()) << bad;
   }
+}
+
+TEST(HeartbeatTest, EmittedTallyRoundTripsExactly) {
+  TrialTally tally{7, 3, 2, 1, 0.30000000000000004, 1e-9, 123.456, {}};
+  std::uint64_t value = 17920224;
+  for (const auto field : dram::kBankCounterFields) {
+    tally.device.*field = value++;
+  }
+  std::array<int, 2> fds{};
+  ASSERT_EQ(::pipe(fds.data()), 0);
+  HeartbeatEmitter emitter(fds[1]);
+  emitter.progress(41, tally);
+  emitter.progress(42);
+  ::close(fds[1]);
+  std::string wire;
+  std::array<char, 512> buf{};
+  for (ssize_t n; (n = ::read(fds[0], buf.data(), buf.size())) > 0;) {
+    wire.append(buf.data(), static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  const auto newline = wire.find('\n');
+  ASSERT_NE(newline, std::string::npos);
+  const auto committed = parse_progress(wire.substr(0, newline));
+  ASSERT_TRUE(committed.has_value()) << wire;
+  EXPECT_EQ(committed->trial_index, 41u);
+  ASSERT_TRUE(committed->tally.has_value());
+  EXPECT_EQ(*committed->tally, tally);
+  EXPECT_EQ(wire.substr(newline + 1), "t 42\n");
 }
 
 TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
@@ -224,6 +283,8 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
     EXPECT_EQ(report.spawns, shards);
     EXPECT_EQ(report.crashes, 0u);
     EXPECT_EQ(report.campaign.completed, 12u);
+    expect_same_totals(report.campaign, golden.report,
+                       std::to_string(shards) + " shards");
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
         << shards << " shards";
@@ -231,10 +292,11 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
 }
 
 TEST(SupervisorTest, ShardedReportCountsFaultsLikeSerial) {
-  // The merged report's retries, injected faults and thermal excursions
-  // come from the workers' commit heartbeats, keyed by trial index: equal
-  // to the serial run's for any shard count, and a trial re-run after a
-  // crash in its commit is counted once.
+  // The merged report's run-local totals (retries, injected faults,
+  // thermal excursions, waits, simulated seconds, device counters) come
+  // from the workers' commit heartbeats, keyed by trial index: equal to
+  // the serial run's for any shard count, and a trial re-run after a crash
+  // in its commit is counted once.
   reset_graceful_stop();
   const auto trials = make_trials(12);
   fault::FaultPlanConfig faults;
@@ -244,6 +306,8 @@ TEST(SupervisorTest, ShardedReportCountsFaultsLikeSerial) {
   ASSERT_GT(golden.report.retries, 0u);
   ASSERT_GT(golden.report.faults_injected, 0u);
   ASSERT_GT(golden.report.thermal_excursions, 0u);
+  ASSERT_GT(golden.report.campaign_seconds, 0.0);
+  ASSERT_GT(golden.report.device_counters.activations, 0u);
   for (const auto crash_at : {std::uint64_t{0}, std::uint64_t{5}}) {
     for (const auto shards : kShardCounts) {
       const auto tag = "tally_s" + std::to_string(shards) + "_c" +
@@ -257,13 +321,7 @@ TEST(SupervisorTest, ShardedReportCountsFaultsLikeSerial) {
       const auto report = supervisor.run(trials);
       ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
       EXPECT_EQ(report.crashes, crash_at == 0 ? 0u : 1u) << tag;
-      EXPECT_EQ(report.campaign.retries, golden.report.retries) << tag;
-      EXPECT_EQ(report.campaign.faults_injected,
-                golden.report.faults_injected)
-          << tag;
-      EXPECT_EQ(report.campaign.thermal_excursions,
-                golden.report.thermal_excursions)
-          << tag;
+      expect_same_totals(report.campaign, golden.report, tag);
       EXPECT_EQ(slurp(config.results_path), golden.csv) << tag;
       EXPECT_EQ(slurp(config.journal_path), golden.journal) << tag;
     }

@@ -3,9 +3,10 @@
 
 Machine speeds differ between the box that recorded the baseline and the CI
 runner, so raw nanoseconds are not comparable. Every guarded benchmark is
-instead normalized by an anchor benchmark (BM_ActPrePair: a trivial
-ACT+PRE pair whose cost tracks raw simulator/CPU speed, untouched by the
-optimizations the guard protects). The check fails when
+instead normalized by an anchor benchmark (BM_CpuAnchor: CRC32C over a
+fixed 64 KiB buffer, which tracks raw CPU speed and executes no simulator
+code, so no optimization of the guarded paths can move it). The check
+fails when
 
     (current[name] / current[anchor]) >
         (baseline[name] / baseline[anchor]) * (1 + tolerance)
@@ -15,7 +16,7 @@ the tolerance.
 
 Usage:
     bench_check.py BASELINE.json CURRENT.json [--tolerance 0.20]
-                   [--anchor BM_ActPrePair] [NAME ...]
+                   [--anchor BM_CpuAnchor] [NAME ...]
 
 With no NAMEs, every non-anchor benchmark present in the baseline is
 checked (benchmarks missing from the current run fail the check).
@@ -45,7 +46,7 @@ def main():
     parser.add_argument("current")
     parser.add_argument("names", nargs="*")
     parser.add_argument("--tolerance", type=float, default=0.20)
-    parser.add_argument("--anchor", default="BM_ActPrePair")
+    parser.add_argument("--anchor", default="BM_CpuAnchor")
     args = parser.parse_args()
 
     baseline = load_times(args.baseline)
