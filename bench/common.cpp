@@ -382,6 +382,9 @@ void print_campaign_report(std::ostream& out,
   if (report.thermal_excursions > 0) {
     out << ", " << report.thermal_excursions << " thermal excursions";
   }
+  if (report.tallies_missing > 0) {
+    out << ", " << report.tallies_missing << " tallies missing";
+  }
   out << " (completion "
       << util::format_double(100.0 * report.completion_rate(), 2) << "%)\n";
   out << "  simulated campaign time "

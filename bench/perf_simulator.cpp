@@ -87,16 +87,22 @@ BENCHMARK(BM_HammerFastPath)->Arg(1000)->Arg(100000);
 void BM_SenseDisturbedRow(benchmark::State& state) {
   // The dominant cost of every probe: reading a victim whose ledger holds
   // dose. The first sense builds the row's threshold summary; every later
-  // sense is a warm hit driving the candidate-prefix scan.
+  // sense is a warm hit driving the candidate-prefix scan. The write and
+  // hammer run once; each iteration rewinds the device and the executor
+  // clock to that point (a stale clock would cross the retention floor).
   dram::Stack stack(config());
   bender::Executor executor(&stack);
   const std::array<int, 2> rows = {4299, 4301};
+  bender::ProgramBuilder setup;
+  setup.write_row(kBank, 4300, dram::RowBits::filled(0x55));
+  setup.hammer(kBank, rows, 100000);
+  executor.run(std::move(setup).build());
+  const std::size_t checkpoint = stack.push_checkpoint();
+  const auto schedule = executor.checkpoint_state();
   for (auto _ : state) {
     state.PauseTiming();
-    bender::ProgramBuilder setup;
-    setup.write_row(kBank, 4300, dram::RowBits::filled(0x55));
-    setup.hammer(kBank, rows, 100000);
-    executor.run(std::move(setup).build());
+    stack.restore_checkpoint(checkpoint);
+    executor.restore_state(schedule);
     state.ResumeTiming();
     bender::ProgramBuilder read;
     read.read_row(kBank, 4300);

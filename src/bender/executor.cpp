@@ -50,6 +50,16 @@ const Executor::BankSchedule& Executor::sched(
   return const_cast<Executor*>(this)->sched(bank);
 }
 
+std::span<Executor::BankSchedule> Executor::channel_sched(int channel) {
+  dram::validate(dram::BankAddress{channel, 0, 0});
+  constexpr auto kBanksPerChannel =
+      static_cast<std::size_t>(dram::kPseudoChannels) *
+      dram::kBanksPerPseudoChannel;
+  return std::span(bank_sched_)
+      .subspan(static_cast<std::size_t>(channel) * kBanksPerChannel,
+               kBanksPerChannel);
+}
+
 dram::Cycle Executor::act_backlog(const dram::BankAddress& bank) const {
   const BankSchedule& b = sched(bank);
   return b.act_ok > clock_ ? b.act_ok - clock_ : 0;
@@ -83,21 +93,16 @@ void Executor::exec_pre(const PreInstr& instr) {
 void Executor::exec_pre_all(const PreAllInstr& instr) {
   ++counters_.pres;
   // Schedule the PREA at a cycle legal for every open bank of the channel.
+  const auto banks = channel_sched(instr.channel);
   dram::Cycle t = clock_;
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      const BankSchedule& b = sched({instr.channel, pc, bk});
-      if (b.open) t = std::max(t, b.pre_ok);
-    }
+  for (const BankSchedule& b : banks) {
+    if (b.open) t = std::max(t, b.pre_ok);
   }
   stack_->precharge_all(instr.channel, t);
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      BankSchedule& b = sched({instr.channel, pc, bk});
-      if (b.open) {
-        b.open = false;
-        b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
-      }
+  for (BankSchedule& b : banks) {
+    if (b.open) {
+      b.open = false;
+      b.act_ok = std::max(b.act_ok, t + timing_.t_rp);
     }
   }
   clock_ = t + kIssueCycles;
@@ -126,22 +131,14 @@ void Executor::exec_ref(const RefInstr& instr) {
     throw std::out_of_range("REF channel");
   }
   ++counters_.refs;
-  dram::Cycle t = std::max(
-      clock_, channel_ref_ok_[static_cast<std::size_t>(instr.channel)]);
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      t = std::max(t, sched({instr.channel, pc, bk}).act_ok);
-    }
-  }
+  dram::Cycle& ref_ok =
+      channel_ref_ok_[static_cast<std::size_t>(instr.channel)];
+  const auto banks = channel_sched(instr.channel);
+  dram::Cycle t = std::max(clock_, ref_ok);
+  for (const BankSchedule& b : banks) t = std::max(t, b.act_ok);
   stack_->refresh(instr.channel, t);
-  channel_ref_ok_[static_cast<std::size_t>(instr.channel)] =
-      t + timing_.t_rfc;
-  for (int pc = 0; pc < dram::kPseudoChannels; ++pc) {
-    for (int bk = 0; bk < dram::kBanksPerPseudoChannel; ++bk) {
-      BankSchedule& b = sched({instr.channel, pc, bk});
-      b.act_ok = std::max(b.act_ok, t + timing_.t_rfc);
-    }
-  }
+  ref_ok = t + timing_.t_rfc;
+  for (BankSchedule& b : banks) b.act_ok = std::max(b.act_ok, ref_ok);
   clock_ = t + kIssueCycles;
 }
 
@@ -150,66 +147,31 @@ void Executor::exec_mrs(const MrsInstr& instr) {
   clock_ += kMrsCycles;
 }
 
-bool Executor::try_hammer_fast_path(const Program& program,
-                                    std::size_t body_begin,
-                                    std::size_t body_end,
-                                    std::uint64_t iterations) {
-  // Eligible body: one or more [ACT (WAIT)* PRE] groups on a single bank.
-  std::vector<dram::HammerStep> steps;
-  const dram::BankAddress* bank = nullptr;
-  std::size_t i = body_begin;
-  while (i < body_end) {
-    const auto* act = std::get_if<ActInstr>(&program.instructions[i]);
-    if (act == nullptr) return false;
-    if (bank == nullptr) {
-      bank = &act->bank;
-    } else if (act->bank != *bank) {
-      return false;
-    }
-    ++i;
-    dram::Cycle on = 0;
-    while (i < body_end) {
-      const auto* w = std::get_if<WaitInstr>(&program.instructions[i]);
-      if (w == nullptr) break;
-      on += w->cycles;
-      ++i;
-    }
-    if (i >= body_end) return false;
-    const auto* pre = std::get_if<PreInstr>(&program.instructions[i]);
-    if (pre == nullptr || pre->bank != *bank) return false;
-    ++i;
-    // Same on-time the iterative path would produce: the PRE issues one
-    // command-bus cycle after the ACT plus any WAITs, floored at tRAS.
-    steps.push_back(
-        dram::HammerStep{act->row, std::max(on + kIssueCycles, timing_.t_ras)});
-  }
-  if (steps.empty() || bank == nullptr) return false;
-
-  BankSchedule& b = sched(*bank);
-  if (b.open) return false;  // require a precharged bank, like the device
+void Executor::hammer_window(const dram::BankAddress& bank, BankSchedule& b,
+                             std::span<const dram::HammerStep> steps,
+                             std::uint64_t iterations) {
   const dram::Cycle start = std::max(clock_, b.act_ok);
-  const dram::Cycle end = stack_->bulk_hammer(*bank, steps, iterations, start);
+  const dram::Cycle end = stack_->bulk_hammer(bank, steps, iterations, start);
   // Represented commands: each iteration replays every [ACT .. PRE] step.
   counters_.acts += iterations * steps.size();
   counters_.pres += iterations * steps.size();
   ++counters_.bulk_hammer_windows;
-  b.open = false;
-  b.last_act = end;  // conservative: next ACT is gated by act_ok below
-  b.act_ok = end;
-  b.pre_ok = end;
-  b.rdwr_ok = end;
+  // Conservative: the bank is precharged and every next command to it waits
+  // for the end of the window.
+  b = BankSchedule{.open = false,
+                   .act_ok = end,
+                   .pre_ok = end,
+                   .rdwr_ok = end,
+                   .last_act = end};
   clock_ = end;
-  return true;
 }
 
-bool Executor::try_windowed_hammer_fast_path(const Program& program,
-                                             std::size_t body_begin,
-                                             std::size_t body_end,
-                                             std::uint64_t iterations) {
-  // Eligible body: REF instructions interleaved with maximal
-  // [ACT (WAIT)* PRE]+ runs, everything on one bank / that bank's channel.
-  // An element with ref == nullptr is a hammer window over steps
-  // [begin, end) of the shared step vector.
+bool Executor::try_bulk_hammer(const Program& program, std::size_t body_begin,
+                               std::size_t body_end,
+                               std::uint64_t iterations) {
+  // Eligible body: REFs interleaved with maximal [ACT (WAIT)* PRE]+ runs,
+  // every ACT/PRE on one bank and every REF on that bank's channel. An
+  // element with ref == nullptr is a hammer window over steps [begin, end).
   struct Element {
     const RefInstr* ref;
     std::size_t begin;
@@ -218,12 +180,10 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
   std::vector<Element> elements;
   std::vector<dram::HammerStep> steps;
   const dram::BankAddress* bank = nullptr;
-  bool has_ref = false;
   std::size_t i = body_begin;
   while (i < body_end) {
     if (const auto* ref = std::get_if<RefInstr>(&program.instructions[i])) {
       elements.push_back({ref, 0, 0});
-      has_ref = true;
       ++i;
       continue;
     }
@@ -248,6 +208,8 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
       const auto* pre = std::get_if<PreInstr>(&program.instructions[i]);
       if (pre == nullptr || pre->bank != *bank) return false;
       ++i;
+      // Same on-time the iterative path would produce: the PRE issues one
+      // command-bus cycle after the ACT plus any WAITs, floored at tRAS.
       steps.push_back(dram::HammerStep{
           act->row, std::max(on + kIssueCycles, timing_.t_ras)});
     }
@@ -255,37 +217,59 @@ bool Executor::try_windowed_hammer_fast_path(const Program& program,
     if (steps.size() == window_begin) return false;
     elements.push_back({nullptr, window_begin, steps.size()});
   }
-  if (bank == nullptr || !has_ref) return false;
-  // REFs must target the hammered bank's channel: their act_ok push-out
-  // then dominates the schedule exactly as in the iterative path. A REF on
-  // another channel would see our conservative post-window clock.
+  if (bank == nullptr) return false;
+  // A REF on the hammered bank's channel pushes out that bank's act_ok, so
+  // it dominates the schedule exactly as in the iterative path. A REF on
+  // another channel would see the conservative post-window clock.
   for (const auto& e : elements) {
     if (e.ref != nullptr && e.ref->channel != bank->channel) return false;
   }
   BankSchedule& b = sched(*bank);
   if (b.open) return false;  // require a precharged bank, like the device
 
+  // Without REFs the body is a single window: one call for all iterations.
+  if (elements.size() == 1) {
+    hammer_window(*bank, b, steps, iterations);
+    return true;
+  }
   for (std::uint64_t iter = 0; iter < iterations; ++iter) {
     for (const auto& e : elements) {
       if (e.ref != nullptr) {
         exec_ref(*e.ref);
-        continue;
+      } else {
+        hammer_window(*bank, b,
+                      std::span(steps).subspan(e.begin, e.end - e.begin), 1);
       }
-      const dram::Cycle start = std::max(clock_, b.act_ok);
-      const dram::Cycle end = stack_->bulk_hammer(
-          *bank, std::span(steps).subspan(e.begin, e.end - e.begin), 1, start);
-      counters_.acts += e.end - e.begin;
-      counters_.pres += e.end - e.begin;
-      ++counters_.bulk_hammer_windows;
-      b.open = false;
-      b.last_act = end;  // conservative, same as the pure fast path
-      b.act_ok = end;
-      b.pre_ok = end;
-      b.rdwr_ok = end;
-      clock_ = end;
     }
   }
   return true;
+}
+
+std::size_t Executor::exec(const Program& program, std::size_t index,
+                           ExecutionResult& result) {
+  const auto& instr = program.instructions[index];
+  if (const auto* act = std::get_if<ActInstr>(&instr)) {
+    exec_act(*act);
+  } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
+    exec_pre(*pre);
+  } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
+    exec_pre_all(*prea);
+  } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
+    exec_rd(*rd, result);
+  } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
+    exec_wr(*wr, program);
+  } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
+    exec_ref(*ref);
+  } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
+    exec_mrs(*mrs);
+  } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
+    clock_ += wait->cycles;
+  } else if (std::holds_alternative<LoopBeginInstr>(instr)) {
+    return exec_loop(program, index, result);
+  } else {
+    throw std::invalid_argument("stray LoopEnd");
+  }
+  return index + 1;
 }
 
 std::size_t Executor::exec_loop(const Program& program,
@@ -293,7 +277,8 @@ std::size_t Executor::exec_loop(const Program& program,
                                 ExecutionResult& result) {
   const auto& begin =
       std::get<LoopBeginInstr>(program.instructions[begin_index]);
-  // Find the matching LoopEnd (builder guarantees no nesting).
+  // Find the matching LoopEnd. The body then holds neither LoopBegin nor
+  // LoopEnd, so exec() advances through it one instruction at a time.
   std::size_t end_index = begin_index + 1;
   while (end_index < program.instructions.size() &&
          !std::holds_alternative<LoopEndInstr>(
@@ -308,34 +293,11 @@ std::size_t Executor::exec_loop(const Program& program,
     throw std::invalid_argument("unterminated loop");
   }
 
-  if (try_hammer_fast_path(program, begin_index + 1, end_index,
-                           begin.iterations) ||
-      try_windowed_hammer_fast_path(program, begin_index + 1, end_index,
-                                    begin.iterations)) {
-    return end_index + 1;
-  }
-
-  for (std::uint64_t iter = 0; iter < begin.iterations; ++iter) {
-    for (std::size_t i = begin_index + 1; i < end_index; ++i) {
-      const auto& instr = program.instructions[i];
-      if (const auto* act = std::get_if<ActInstr>(&instr)) {
-        exec_act(*act);
-      } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
-        exec_pre(*pre);
-      } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
-        exec_pre_all(*prea);
-      } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
-        exec_rd(*rd, result);
-      } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
-        exec_wr(*wr, program);
-      } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
-        exec_ref(*ref);
-      } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
-        exec_mrs(*mrs);
-      } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
-        clock_ += wait->cycles;
-      } else {
-        throw std::logic_error("unexpected instruction in loop body");
+  if (!try_bulk_hammer(program, begin_index + 1, end_index,
+                       begin.iterations)) {
+    for (std::uint64_t iter = 0; iter < begin.iterations; ++iter) {
+      for (std::size_t i = begin_index + 1; i < end_index;) {
+        i = exec(program, i, result);
       }
     }
   }
@@ -345,38 +307,8 @@ std::size_t Executor::exec_loop(const Program& program,
 ExecutionResult Executor::run(const Program& program) {
   ExecutionResult result;
   result.start_cycle = clock_;
-  std::size_t i = 0;
-  while (i < program.instructions.size()) {
-    const auto& instr = program.instructions[i];
-    if (const auto* act = std::get_if<ActInstr>(&instr)) {
-      exec_act(*act);
-      ++i;
-    } else if (const auto* pre = std::get_if<PreInstr>(&instr)) {
-      exec_pre(*pre);
-      ++i;
-    } else if (const auto* prea = std::get_if<PreAllInstr>(&instr)) {
-      exec_pre_all(*prea);
-      ++i;
-    } else if (const auto* rd = std::get_if<RdInstr>(&instr)) {
-      exec_rd(*rd, result);
-      ++i;
-    } else if (const auto* wr = std::get_if<WrInstr>(&instr)) {
-      exec_wr(*wr, program);
-      ++i;
-    } else if (const auto* ref = std::get_if<RefInstr>(&instr)) {
-      exec_ref(*ref);
-      ++i;
-    } else if (const auto* mrs = std::get_if<MrsInstr>(&instr)) {
-      exec_mrs(*mrs);
-      ++i;
-    } else if (const auto* wait = std::get_if<WaitInstr>(&instr)) {
-      clock_ += wait->cycles;
-      ++i;
-    } else if (std::holds_alternative<LoopBeginInstr>(instr)) {
-      i = exec_loop(program, i, result);
-    } else {
-      throw std::invalid_argument("stray LoopEnd");
-    }
+  for (std::size_t i = 0; i < program.instructions.size();) {
+    i = exec(program, i, result);
   }
   result.end_cycle = clock_;
   return result;

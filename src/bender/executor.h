@@ -3,16 +3,17 @@
 //
 // The executor plays programs against a Stack: each command is issued at the
 // earliest cycle that satisfies the HBM2 timing rules (the device model
-// independently asserts the same rules), WAIT instructions extend row
-// on-times, and counted loops either run iteratively or — for pure
-// ACT/WAIT/PRE hammer bodies on a single bank — through the device's
-// analytic hammer fast path with identical semantics. Refresh-interleaved
-// hammer bodies (REFs between ACT/PRE runs, the TRR-bypass shape) take a
-// windowed variant of the same fast path: one bulk_hammer call per run per
-// iteration, with REFs executed at their exact iterative schedule.
+// independently asserts the same rules), and WAIT instructions extend row
+// on-times. One dispatch function issues every instruction, in and out of
+// counted loops. One matcher parses a loop body into REFs and hammer windows
+// (maximal [ACT (WAIT)* PRE]+ runs on one precharged bank): a lone window is
+// one analytic bulk_hammer call for all iterations; windows mixed with REFs
+// on that bank's channel (the TRR-bypass shape of Sec. 7) replay each REF
+// and each single-iteration window in order. Other bodies run iteratively.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bender/program.h"
@@ -111,6 +112,14 @@ class Executor {
   BankSchedule& sched(const dram::BankAddress& bank);
   [[nodiscard]] const BankSchedule& sched(const dram::BankAddress& bank) const;
 
+  /// Timing windows of every bank of `channel`; throws on a bad channel.
+  std::span<BankSchedule> channel_sched(int channel);
+
+  /// Issues the instruction at `index`, running a whole loop when it is a
+  /// LoopBegin; returns the index of the next instruction to issue.
+  std::size_t exec(const Program& program, std::size_t index,
+                   ExecutionResult& result);
+
   void exec_act(const ActInstr& instr);
   void exec_pre(const PreInstr& instr);
   void exec_pre_all(const PreAllInstr& instr);
@@ -123,19 +132,16 @@ class Executor {
   std::size_t exec_loop(const Program& program, std::size_t begin_index,
                         ExecutionResult& result);
 
-  /// Attempts the hammer fast path; true on success.
-  bool try_hammer_fast_path(const Program& program, std::size_t body_begin,
-                            std::size_t body_end, std::uint64_t iterations);
+  /// Runs the loop body [body_begin, body_end) through bulk_hammer windows
+  /// when the matcher accepts it (see the file comment); false, with
+  /// nothing issued, otherwise.
+  bool try_bulk_hammer(const Program& program, std::size_t body_begin,
+                       std::size_t body_end, std::uint64_t iterations);
 
-  /// Widened fast path for refresh-interleaved hammer loops: bodies of
-  /// [ACT (WAIT)* PRE]+ runs on one bank mixed with REFs on that bank's
-  /// channel (the TRR bypass shape of Sec. 7). Each iteration replays the
-  /// REFs through exec_ref and each run through one single-iteration
-  /// bulk_hammer window; true on success.
-  bool try_windowed_hammer_fast_path(const Program& program,
-                                     std::size_t body_begin,
-                                     std::size_t body_end,
-                                     std::uint64_t iterations);
+  /// One analytic hammer window on a precharged bank, then its schedule.
+  void hammer_window(const dram::BankAddress& bank, BankSchedule& b,
+                     std::span<const dram::HammerStep> steps,
+                     std::uint64_t iterations);
 
   dram::Stack* stack_;
   dram::TimingParams timing_;

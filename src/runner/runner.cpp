@@ -466,28 +466,29 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       config_.trace->record("campaign/trial", out.wall_s);
     }
     if (metrics == nullptr) return;
-    metrics->add("campaign.retries", out.retries);
-    metrics->add("campaign.guard_blocks", out.guard_blocks);
+    const TrialTally& tally = out.tally;
+    metrics->add("campaign.retries", tally.retries);
+    metrics->add("campaign.guard_blocks", tally.guard_blocks);
     metrics->add("exec.acts", out.exec.acts);
     metrics->add("exec.pres", out.exec.pres);
     metrics->add("exec.refs", out.exec.refs);
     metrics->add("exec.hammer_windows", out.exec.bulk_hammer_windows);
-    metrics->add("device.acts", out.device.activations);
-    metrics->add("device.refs", out.device.refresh_commands);
+    metrics->add("device.acts", tally.device.activations);
+    metrics->add("device.refs", tally.device.refresh_commands);
     metrics->add("device.victim_refreshes",
-                 out.device.defense_victim_refreshes);
-    metrics->add("device.bitflips", out.device.bitflips_materialized);
-    metrics->add("device.hammer_windows", out.device.bulk_hammer_windows);
-    metrics->add("device.dedup_hits", out.device.hammer_dedup_hits);
+                 tally.device.defense_victim_refreshes);
+    metrics->add("device.bitflips", tally.device.bitflips_materialized);
+    metrics->add("device.hammer_windows", tally.device.bulk_hammer_windows);
+    metrics->add("device.dedup_hits", tally.device.hammer_dedup_hits);
     // Deterministic per scan mode: path selection inside a sense is a pure
     // function of device state, never of scheduling.
-    metrics->add("device.sense_word_ops", out.device.sense_word_ops);
+    metrics->add("device.sense_word_ops", tally.device.sense_word_ops);
     metrics->add("device.sense_cells_visited",
-                 out.device.sense_cells_visited);
+                 tally.device.sense_cells_visited);
     // Ring evictions depend on dose-class visit order within the scan
     // mode: telemetry, excluded from the fingerprint.
     metrics->add("device.dose_memo_evictions",
-                 out.device.dose_memo_evictions,
+                 tally.device.dose_memo_evictions,
                  obs::MetricKind::kTelemetry);
     metrics->add("cache.lookups", out.cache.lookups());
     // Epoch-relative summary counters: pure functions of the trial body
@@ -508,9 +509,8 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
                  obs::MetricKind::kTelemetry);
     metrics->add("cache.evictions", out.cache.evictions,
                  obs::MetricKind::kTelemetry);
-    metrics->add("faults.injected", out.fault_delta.injected_total);
-    metrics->add("faults.thermal_excursions",
-                 out.fault_delta.thermal_excursions);
+    metrics->add("faults.injected", tally.faults_injected);
+    metrics->add("faults.thermal_excursions", tally.thermal_excursions);
     metrics->observe("trial.wall_s", out.wall_s);
   };
   // Run-level gauges (telemetry): simulated totals plus the wall clock.
@@ -587,15 +587,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       std::rethrow_exception(out.error);
     }
     journal.append(out.journal);
-    const TrialTally tally{out.retries,
-                           out.fault_delta.injected_total,
-                           out.fault_delta.thermal_excursions,
-                           out.guard_blocks,
-                           out.guard_wait_s,
-                           out.backoff_wait_s,
-                           out.trial_s,
-                           out.device};
-    report.add(tally);
+    report.add(out.tally);
     meter_trial(out);
 
     if (out.fatal) {
@@ -604,7 +596,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       journal.event("campaign-abort")
           .field("trial", trial.key)
           .field("reason", out.fatal_kind)
-          .field("trial_s", out.trial_s, 1);
+          .field("trial_s", out.tally.trial_s, 1);
       journal.flush();
       if (csv) csv->flush();
       make_durable();
@@ -649,7 +641,7 @@ CampaignReport CampaignRunner::run(const std::vector<Trial>& trials) {
       }
     }
     if (!heartbeat_muted) {
-      heartbeat.progress(static_cast<std::uint64_t>(i), tally);
+      heartbeat.progress(static_cast<std::uint64_t>(i), out.tally);
     }
     report_progress();
     report.records.push_back(std::move(out.record));

@@ -156,6 +156,10 @@ struct CampaignReport {
   double guard_wait_s = 0.0;      // simulated time spent waiting for band
   double backoff_wait_s = 0.0;    // simulated time spent backing off
   double campaign_seconds = 0.0;  // simulated rig time the campaign took
+  /// Supervised runs only: trials committed this run whose tally never
+  /// reached the supervisor (committed while the worker's heartbeats were
+  /// lost), so the run-local totals above undercount them.
+  std::uint64_t tallies_missing = 0;
   /// Device-side counters summed over this run's trials (each trial runs on
   /// a fresh power-on stack, so these are per-trial deltas accumulated in
   /// commit order). Campaign chips' own counters no longer see trial

@@ -81,7 +81,8 @@ class SupervisorRun {
         trials_(trials),
         store_(campaign.store ? campaign.store : util::default_store()),
         disk_width_(campaign.result_columns.size() + 3),
-        tallies_(trials.size()) {}
+        tallies_(trials.size()),
+        seen_(trials.size(), Seen::kNot) {}
 
   SupervisorReport run();
 
@@ -141,6 +142,12 @@ class SupervisorRun {
   /// trial re-run after a crash overwrites its entry instead of counting
   /// twice.
   std::vector<TrialTally> tallies_;
+  /// Per global trial index: how its commit reached the supervisor. A
+  /// trial committed while its worker's heartbeats were lost is re-beaten
+  /// without a tally by the resumed incarnation (kCommitted); finish()
+  /// counts those as CampaignReport::tallies_missing.
+  enum class Seen : std::uint8_t { kNot, kAtStart, kCommitted, kTallied };
+  std::vector<Seen> seen_;
 
   std::vector<WorkerSlot> workers_;
   std::vector<ShardSpec> spawn_queue_;  // stolen ranges awaiting a slot
@@ -341,9 +348,14 @@ void SupervisorRun::handle_line(WorkerSlot& slot, std::string_view line) {
   slot.last_beat_s = obs::monotonic_seconds();
   if (line[0] != 't') return;
   ++slot.progress;
-  if (const auto beat = parse_progress(line);
-      beat && beat->tally && beat->trial_index < tallies_.size()) {
+  const auto beat = parse_progress(line);
+  if (!beat || beat->trial_index >= tallies_.size()) return;
+  Seen& seen = seen_[beat->trial_index];
+  if (beat->tally) {
     tallies_[beat->trial_index] = *beat->tally;
+    seen = Seen::kTallied;
+  } else if (seen == Seen::kNot) {
+    seen = Seen::kCommitted;
   }
 }
 
@@ -602,6 +614,8 @@ void SupervisorRun::terminate_all() {
 void SupervisorRun::finish(SupervisorReport& report) {
   report.final_shards = static_cast<std::uint64_t>(workers_.size());
   for (const auto& tally : tallies_) report.campaign.add(tally);
+  report.campaign.tallies_missing = static_cast<std::uint64_t>(
+      std::count(seen_.begin(), seen_.end(), Seen::kCommitted));
 
   if (stopped_) {
     report.campaign.aborted = true;
@@ -684,6 +698,15 @@ SupervisorReport SupervisorRun::run() {
   write_index();
 
   const bool resume_first = campaign_.resume;
+  if (resume_first) {
+    // Rows committed by an earlier run are resumed, not missing a tally:
+    // each shard store holds a committed prefix of its range.
+    for (const auto& slot : workers_) {
+      const auto rows = std::min(shard_rows(slot.spec), slot.spec.size());
+      std::fill_n(seen_.begin() + static_cast<std::ptrdiff_t>(slot.spec.lo),
+                  rows, Seen::kAtStart);
+    }
+  }
   for (auto& slot : workers_) {
     if (slot.spec.status == ShardSpec::Status::kPending) {
       spawn(slot, resume_first);

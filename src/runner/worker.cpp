@@ -29,18 +29,6 @@ disturb::ThresholdCacheStats cache_delta(
   return d;
 }
 
-fault::FaultyChip::Stats fault_stats_delta(
-    const fault::FaultyChip::Stats& now,
-    const fault::FaultyChip::Stats& before) {
-  fault::FaultyChip::Stats d;
-  d.injected_total = now.injected_total - before.injected_total;
-  for (std::size_t k = 0; k < d.by_kind.size(); ++k) {
-    d.by_kind[k] = now.by_kind[k] - before.by_kind[k];
-  }
-  d.thermal_excursions = now.thermal_excursions - before.thermal_excursions;
-  return d;
-}
-
 }  // namespace
 
 void validate_csv_cell(const std::string& cell, const char* what) {
@@ -73,8 +61,8 @@ bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
     const double measured = chip_.rig().temperature_c();
     if (std::abs(measured - setpoint_c_) <= band_c_) {
       if (waited > 0.0) {
-        ++out.guard_blocks;
-        out.guard_wait_s += waited;
+        ++out.tally.guard_blocks;
+        out.tally.guard_wait_s += waited;
         Journal::buffered(sink, "guard-wait")
             .field("trial", key)
             .field("attempt", attempt)
@@ -89,8 +77,8 @@ bool TrialWorker::wait_for_guard_band(TrialOutcome& out, std::string* sink,
           .field("attempt", attempt)
           .field("waited_s", waited, 1)
           .field("measured_c", measured, 2);
-      out.guard_wait_s += waited;
-      ++out.guard_blocks;
+      out.tally.guard_wait_s += waited;
+      ++out.tally.guard_blocks;
       return false;
     }
     chip_.idle(config_.guard.poll_s);
@@ -110,11 +98,14 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
   // Everything this helper fills is a per-trial delta; both return paths
   // below must go through it.
   const auto finalize = [&] {
-    out.trial_s = chip_.rig().time_s() - trial_t0_;
-    out.device = chip_.stack().total_counters();
+    const auto& faults = faulty_.stats();
+    out.tally.faults_injected = faults.injected_total - faults0.injected_total;
+    out.tally.thermal_excursions =
+        faults.thermal_excursions - faults0.thermal_excursions;
+    out.tally.trial_s = chip_.rig().time_s() - trial_t0_;
+    out.tally.device = chip_.stack().total_counters();
     out.exec = chip_.executor_counters();
     out.cache = cache_delta(chip_.threshold_cache_stats(), cache0);
-    out.fault_delta = fault_stats_delta(faulty_.stats(), faults0);
     const auto& probes = faulty_.probe_counters();
     out.probes.hc_probes = probes.hc_probes - probes0.hc_probes;
     out.probes.hammers_replayed =
@@ -203,8 +194,8 @@ TrialOutcome TrialWorker::run(const CampaignRunner::Trial& trial,
     }
     const double delay = config_.retry.backoff_s(config_.faults.seed, index,
                                                  attempt);
-    ++out.retries;
-    out.backoff_wait_s += delay;
+    ++out.tally.retries;
+    out.tally.backoff_wait_s += delay;
     Journal::buffered(sink, "retry")
         .field("trial", trial.key)
         .field("attempt", attempt)

@@ -29,14 +29,14 @@ struct TrialOutcome {
   /// journaled them; the sequencer appends whole buffers in canonical
   /// trial order.
   std::string journal;
-  double trial_s = 0.0;  // simulated rig seconds the trial consumed
-  std::uint64_t retries = 0;
-  std::uint64_t guard_blocks = 0;
-  double guard_wait_s = 0.0;
-  double backoff_wait_s = 0.0;
-  /// Device-side counters since the trial's power-on (the stack is fresh at
-  /// trial start, so this is the per-trial delta).
-  dram::BankCounters device;
+  /// Run-local counts and costs: retries, injected faults and thermal
+  /// excursions, guard/backoff waits, simulated rig seconds, and the
+  /// device-side counters since the trial's power-on (the stack is fresh at
+  /// trial start, so they are the per-trial delta). Fault counts are pure
+  /// functions of trial index / attempt / incarnation, so commit-order
+  /// accumulation is deterministic even when a fatal abort discards
+  /// in-flight trials.
+  TrialTally tally;
   /// Host-side command counts since the trial's power-on (same semantics:
   /// the executor is rebuilt with the stack).
   bender::ExecutorCounters exec;
@@ -51,10 +51,6 @@ struct TrialOutcome {
   /// the device counters, so they land in the deterministic metrics
   /// catalog (study.*).
   bender::ProbeCounters probes;
-  /// Injected-fault stats delta over this trial (pure function of trial
-  /// index / attempt / incarnation, so commit-order accumulation is
-  /// deterministic even when a fatal abort discards in-flight trials).
-  fault::FaultyChip::Stats fault_delta;
   /// Host wall-clock seconds the trial consumed (telemetry only; never
   /// enters an artifact).
   double wall_s = 0.0;

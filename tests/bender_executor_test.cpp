@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <memory>
 
 #include "bender/program.h"
+#include "trr/undocumented_trr.h"
 
 namespace hbmrd::bender {
 namespace {
@@ -116,6 +119,100 @@ TEST_F(ExecutorFixture, HammerFastPathMatchesIterativeLoop) {
   const auto slow_row = run_setup(slow_stack, slow_executor, false);
   EXPECT_EQ(fast_row, slow_row);
   EXPECT_GT(fast_row.count_diff(dram::RowBits::filled(0x55)), 0);
+}
+
+/// Chip 0's proprietary in-DRAM defense (Sec. 7) in every bank, so the
+/// equivalence checks below also cover what the defense observes.
+dram::StackConfig trr_config() {
+  auto config = test_config();
+  config.defense_factory = [](const dram::BankAddress&) {
+    return std::make_unique<trr::UndocumentedTrr>();
+  };
+  return config;
+}
+
+constexpr int kVictimRow = 4300;
+
+struct HammerOutcome {
+  dram::RowBits victim;
+  dram::Cycle clock = 0;
+  ExecutorCounters counters;
+  std::uint64_t victim_refreshes = 0;
+};
+
+/// Initializes a victim and its two aggressors on a fresh TRR stack, emits
+/// `hammer` into the same program, then reads the victim back.
+HammerOutcome run_on_trr_stack(
+    const std::function<void(ProgramBuilder&)>& hammer) {
+  dram::Stack stack{trr_config()};
+  Executor executor{&stack};
+  ProgramBuilder builder;
+  builder.write_row(kBank, kVictimRow, dram::RowBits::filled(0x55));
+  builder.write_row(kBank, kVictimRow - 1, dram::RowBits::filled(0xAA));
+  builder.write_row(kBank, kVictimRow + 1, dram::RowBits::filled(0xAA));
+  hammer(builder);
+  builder.read_row(kBank, kVictimRow);
+  const auto result = executor.run(std::move(builder).build());
+  return {result.row(0), executor.now(), executor.counters(),
+          stack.total_counters().defense_victim_refreshes};
+}
+
+void expect_same_outcome(const HammerOutcome& looped,
+                         const HammerOutcome& unrolled) {
+  EXPECT_EQ(looped.victim, unrolled.victim);
+  EXPECT_EQ(looped.clock, unrolled.clock);
+  EXPECT_EQ(looped.counters.acts, unrolled.counters.acts);
+  EXPECT_EQ(looped.counters.pres, unrolled.counters.pres);
+  EXPECT_EQ(looped.counters.refs, unrolled.counters.refs);
+  EXPECT_EQ(looped.victim_refreshes, unrolled.victim_refreshes);
+  EXPECT_EQ(unrolled.counters.bulk_hammer_windows, 0u);
+}
+
+TEST(ExecutorLoopMatcher, RefreshInterleavedBodyMatchesUnrolledProgram) {
+  // The TRR-bypass window of Sec. 7: a REF, a leading dummy ACT, a
+  // double-sided burst, then trailing round-robin dummies.
+  constexpr std::uint64_t kWindows = 2000;
+  const auto window = [](ProgramBuilder& b) {
+    b.ref(kBank.channel);
+    b.act(kBank, 9000).pre(kBank);
+    for (int i = 0; i < 34; ++i) {
+      b.act(kBank, kVictimRow - 1).pre(kBank);
+      b.act(kBank, kVictimRow + 1).pre(kBank);
+    }
+    for (int d = 1; d <= 9; ++d) b.act(kBank, 9000 + 16 * (d % 8)).pre(kBank);
+  };
+  const auto looped = run_on_trr_stack([&](ProgramBuilder& b) {
+    b.loop_begin(kWindows);
+    window(b);
+    b.loop_end();
+  });
+  const auto unrolled = run_on_trr_stack([&](ProgramBuilder& b) {
+    for (std::uint64_t w = 0; w < kWindows; ++w) window(b);
+  });
+  // One single-iteration bulk_hammer window per loop iteration.
+  EXPECT_EQ(looped.counters.bulk_hammer_windows, kWindows);
+  EXPECT_EQ(looped.counters.refs, kWindows);
+  EXPECT_GT(looped.victim_refreshes, 0u);  // the TRR acted on the pattern
+  expect_same_outcome(looped, unrolled);
+}
+
+TEST(ExecutorLoopMatcher, WaitCarryingRowPressBodyMatchesUnrolledProgram) {
+  // RowPress (Sec. 6): each aggressor stays open well past tRAS.
+  constexpr std::uint64_t kCount = 8000;
+  constexpr dram::Cycle kOnCycles = 1000;
+  const std::array<int, 2> rows = {kVictimRow - 1, kVictimRow + 1};
+  const auto looped = run_on_trr_stack([&](ProgramBuilder& b) {
+    b.hammer(kBank, rows, kCount, kOnCycles);
+  });
+  const auto unrolled = run_on_trr_stack([&](ProgramBuilder& b) {
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      for (int row : rows) b.act(kBank, row).wait(kOnCycles).pre(kBank);
+    }
+  });
+  // The whole loop is one bulk_hammer call.
+  EXPECT_EQ(looped.counters.bulk_hammer_windows, 1u);
+  expect_same_outcome(looped, unrolled);
+  EXPECT_GT(looped.victim.count_diff(dram::RowBits::filled(0x55)), 0);
 }
 
 TEST_F(ExecutorFixture, LoopWithRefRunsIteratively) {

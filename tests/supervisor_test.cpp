@@ -283,6 +283,7 @@ TEST(SupervisorTest, CleanShardedRunMatchesSerial) {
     EXPECT_EQ(report.spawns, shards);
     EXPECT_EQ(report.crashes, 0u);
     EXPECT_EQ(report.campaign.completed, 12u);
+    EXPECT_EQ(report.campaign.tallies_missing, 0u) << shards << " shards";
     expect_same_totals(report.campaign, golden.report,
                        std::to_string(shards) + " shards");
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
@@ -321,6 +322,7 @@ TEST(SupervisorTest, ShardedReportCountsFaultsLikeSerial) {
       const auto report = supervisor.run(trials);
       ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
       EXPECT_EQ(report.crashes, crash_at == 0 ? 0u : 1u) << tag;
+      EXPECT_EQ(report.campaign.tallies_missing, 0u) << tag;
       expect_same_totals(report.campaign, golden.report, tag);
       EXPECT_EQ(slurp(config.results_path), golden.csv) << tag;
       EXPECT_EQ(slurp(config.journal_path), golden.journal) << tag;
@@ -448,6 +450,9 @@ TEST(SupervisorTest, HeartbeatDropIsReapedNotTrusted) {
     ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
     EXPECT_EQ(report.shards_stolen, 0u);
     EXPECT_GE(report.hangs_killed, 1u);
+    // Every first incarnation mutes after global trial 4, so trials 5..12
+    // are committed unheard and re-beaten without a tally on resume.
+    EXPECT_EQ(report.campaign.tallies_missing, 8u) << shards << " shards";
     EXPECT_EQ(slurp(config.results_path), golden.csv) << shards << " shards";
     EXPECT_EQ(slurp(config.journal_path), golden.journal)
         << shards << " shards";
@@ -490,6 +495,9 @@ TEST(SupervisorTest, RepeatedCrashQuarantinesThenOperatorResumeClears) {
   Supervisor supervisor(chip, config, supervision);
   const auto report = supervisor.run(trials);
   ASSERT_FALSE(report.campaign.aborted) << report.campaign.abort_reason;
+  // Trial 1 was committed (and tallied) by the first run: resumed here,
+  // not missing a tally.
+  EXPECT_EQ(report.campaign.tallies_missing, 0u);
   EXPECT_EQ(slurp(config.results_path), golden.csv);
   EXPECT_EQ(slurp(config.journal_path), golden.journal);
 }
