@@ -30,7 +30,8 @@ Campaign flags (harnesses built on the resilient runner):
   --results FILE     checkpointed results CSV (resumable)
   --journal FILE     JSONL fault/retry journal
   --resume           skip trials already committed in --results
-  --stop-after N     checkpoint + stop after N trials (kill point)
+  --stop-after N     checkpoint + stop after N trials (kill point); not
+                     with --shards, where SIGTERM stops the campaign
   --fault-rate R     per-attempt transient-fault probability
   --thermal-rate R   per-trial thermal-excursion probability
   --persistent-rate R  per-trial persistent-fault probability

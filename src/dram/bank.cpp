@@ -172,17 +172,19 @@ struct Bank::SensePlan {
 };
 
 Bank::Bank(BankAddress address, const disturb::FaultModel* fault_model,
-           const Environment* env, TimingParams timing,
-           disturb::BankThresholdCache& threshold_cache)
+           const Environment* env, CheckpointLadder* ladder,
+           TimingParams timing, disturb::BankThresholdCache& threshold_cache)
     : address_(address),
       fault_(fault_model),
       env_(env),
+      ladder_(ladder),
       timing_(timing),
       checker_(timing),
       threshold_cache_(&threshold_cache) {
   validate(address_);
-  if (fault_ == nullptr || env_ == nullptr) {
-    throw std::invalid_argument("Bank: fault model and environment required");
+  if (fault_ == nullptr || env_ == nullptr || ladder_ == nullptr) {
+    throw std::invalid_argument(
+        "Bank: fault model, environment and checkpoint ladder required");
   }
 }
 
@@ -254,10 +256,10 @@ Bank::RowState& Bank::state(int physical_row, Cycle now) {
     }
   }
   rs.last_restore = now;
-  if (!layers_.empty()) {
+  if (joined_ != 0) {
     // The row had no state at push time: record an erase pre-image.
     layers_.back().pre.emplace(physical_row, std::nullopt);
-    rs.cow_epoch = cow_epoch_;
+    rs.cow_epoch = joined_;
   }
   return rs;
 }
@@ -284,70 +286,67 @@ std::optional<Cycle> Bank::last_restore(int physical_row) const {
   return rs->last_restore;
 }
 
-std::size_t Bank::push_checkpoint() {
-  if (open_row_) {
-    throw std::logic_error("push_checkpoint: bank must be precharged");
-  }
-  if (defense_ && !defense_->checkpointable()) {
-    throw std::logic_error(
-        "push_checkpoint: attached defense is not checkpointable");
-  }
+void Bank::join_top_rung() {
+  joined_ = ladder_->generation();
+  if (joined_ == 0) return;  // the ladder was discarded
+  ladder_->joins_.push_back({ladder_->modes_.size() - 1, this});
   layers_.push_back(CheckpointLayer{
       {}, refresh_pointer_, checker_, defense_ ? defense_->clone() : nullptr});
-  ++cow_epoch_;  // invalidate all cow tags: pre-images go to the new layer
-  return layers_.size() - 1;
 }
 
-void Bank::restore_checkpoint(std::size_t index) {
-  if (index >= layers_.size()) {
-    throw std::out_of_range("restore_checkpoint: no such checkpoint");
-  }
-  // Apply pre-images newest layer first; older layers overwrite, so every
-  // row lands on its value as of the target push.
-  for (std::size_t j = layers_.size(); j-- > index;) {
-    for (auto& [row, pre] : layers_[j].pre) {
-      RowState* current = peek_state(row);
-      if (pre) {
-        if (current == nullptr) {
-          current = &add_row(row);
-        } else if (pre->min_retention_ref_s < 0) {
-          // The retention floor is a pure function of the row's fixed cell
-          // parameters, so a value computed after the push is still valid
-          // before it — keep it instead of rescanning 8K cells per probe.
-          pre->min_retention_ref_s = current->min_retention_ref_s;
-        }
-        *current = std::move(*pre);
-      } else if (current != nullptr) {
-        erase_row(row);
+void Bank::restore_checkpoint() {
+  CheckpointLayer& layer = layers_.back();
+  // The ladder rewinds newest layers first; older layers overwrite, so
+  // every row lands on its value as of the oldest rewound push.
+  for (auto& [row, pre] : layer.pre) {
+    RowState* current = peek_state(row);
+    if (pre) {
+      if (current == nullptr) {
+        current = &add_row(row);
+      } else if (pre->min_retention_ref_s < 0) {
+        // The retention floor is a pure function of the row's fixed cell
+        // parameters, so a value computed after the push is still valid
+        // before it — keep it instead of rescanning 8K cells per probe.
+        pre->min_retention_ref_s = current->min_retention_ref_s;
       }
+      *current = std::move(*pre);
+    } else if (current != nullptr) {
+      erase_row(row);
     }
   }
-  const CheckpointLayer& target = layers_[index];
-  refresh_pointer_ = target.refresh_pointer;
-  checker_ = target.checker;
+  refresh_pointer_ = layer.refresh_pointer;
+  checker_ = layer.checker;
   open_row_.reset();  // push requires a precharged bank
-  if (target.defense) {
-    // Clone again so the layer stays restorable a second time.
-    defense_ = target.defense->clone();
-  }
-  // The target layer stays on the ladder, now collecting fresh pre-images;
+  defense_ = std::move(layer.defense);
   // counters_ deliberately keeps counting (represented work is monotone).
-  layers_.erase(layers_.begin() + static_cast<std::ptrdiff_t>(index) + 1,
-                layers_.end());
-  layers_.back().pre.clear();
-  ++cow_epoch_;
+  layers_.pop_back();
 }
 
-void Bank::discard_checkpoints() { layers_.clear(); }
+std::size_t CheckpointLadder::push(const ModeRegisters& modes) {
+  modes_.push_back(modes);
+  generation_ = ++generations_issued_;
+  return modes_.size() - 1;
+}
 
-void Bank::drop_row_states() {
-  if (!layers_.empty()) {
-    throw std::logic_error(
-        "drop_row_states: checkpoints active (pre-images would dangle)");
+const ModeRegisters& CheckpointLadder::restore(std::size_t index) {
+  if (index >= modes_.size()) {
+    throw std::out_of_range("restore_checkpoint: no such checkpoint");
   }
-  slot_of_row_.reset();
-  row_nodes_.clear();
-  free_slots_.clear();
+  // Newest join first: a bank that joined several rewound rungs pops its
+  // layers newest first and ends on the oldest one's state.
+  for (; !joins_.empty() && joins_.back().rung >= index; joins_.pop_back()) {
+    joins_.back().bank->restore_checkpoint();
+  }
+  modes_.resize(index + 1);
+  generation_ = ++generations_issued_;  // rung `index` takes fresh joins
+  return modes_.back();
+}
+
+void CheckpointLadder::discard() {
+  for (const Join& join : joins_) join.bank->layers_.clear();
+  joins_.clear();
+  modes_.clear();
+  generation_ = 0;
 }
 
 int Bank::open_row() const {
@@ -711,6 +710,7 @@ void Bank::disturb_neighbors(int aggressor_row, const RowState& aggressor,
 
 void Bank::activate(int physical_row, Cycle now) {
   check_row(physical_row);
+  join_ladder();
   checker_.on_activate(now);
   ++counters_.activations;
   open_row_ = physical_row;
@@ -721,29 +721,27 @@ void Bank::activate(int physical_row, Cycle now) {
 
 void Bank::precharge(Cycle now) {
   if (!open_row_) {
-    checker_.on_precharge(now);  // legal no-op
+    checker_.on_precharge(now);  // legal no-op: changes nothing, no join
     return;
   }
+  join_ladder();
   const Cycle on_cycles = now - checker_.open_since();
   checker_.on_precharge(now);
   const int aggressor = *open_row_;
   open_row_.reset();
   const double dose = fault_->taggon_factor(on_cycles);
-  RowState* aggr = find_state(aggressor);
-  if (aggr == nullptr) {
-    // Only drop_row_states() between the ACT and this PRE gets here.
-    throw std::logic_error("precharge: open row has no state");
-  }
-  disturb_neighbors(aggressor, *aggr, dose, now);
+  // The ACT gave the open row its state.
+  disturb_neighbors(aggressor, *find_state(aggressor), dose, now);
 }
 
 void Bank::read_column(int column, std::span<std::uint64_t> out, Cycle now) {
   checker_.on_read(now);
-  find_state(open_row())->bits.get_column(column, out);
+  peek_state(open_row())->bits.get_column(column, out);
 }
 
 void Bank::write_column(int column, std::span<const std::uint64_t> data,
                         Cycle now) {
+  join_ladder();
   checker_.on_write(now);
   RowState* rs = find_state(open_row());
   rs->bits.set_column(column, data);
@@ -752,6 +750,7 @@ void Bank::write_column(int column, std::span<const std::uint64_t> data,
 
 void Bank::refresh_row(int physical_row, Cycle now) {
   check_row(physical_row);
+  join_ladder();
   if (RowState* rs = find_state(physical_row)) {
     sense_and_restore(physical_row, *rs, now);
   }
@@ -759,6 +758,7 @@ void Bank::refresh_row(int physical_row, Cycle now) {
 }
 
 void Bank::refresh(Cycle now) {
+  join_ladder();
   checker_.on_refresh(now);
   ++counters_.refresh_commands;
   for (int i = 0; i < timing_.rows_per_ref(); ++i) {
@@ -794,6 +794,7 @@ Cycle Bank::bulk_hammer(std::span<const HammerStep> steps,
       throw TimingViolation("bulk_hammer: on-time below tRAS");
     }
   }
+  join_ladder();
 
   // Canonical per-iteration layout: step k activates, stays open for its
   // on-time, precharges; the next ACT follows after max(tRP, tRC slack).

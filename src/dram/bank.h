@@ -6,7 +6,8 @@
 // disturbed) carry state; everything else is implicit (power-on contents,
 // fully charged). A touched row costs ~1 KiB plus its dose epochs, and a
 // touched bank adds a 32 KiB dense row index (2 bytes per physical row);
-// an untouched bank allocates nothing.
+// an untouched bank allocates nothing. Checkpoints add nothing to a bank
+// that does not change after a push, and one pre-image per row it changes.
 #pragma once
 
 #include <array>
@@ -22,6 +23,7 @@
 #include "disturb/threshold_cache.h"
 #include "dram/defense.h"
 #include "dram/geometry.h"
+#include "dram/mode_registers.h"
 #include "dram/row_data.h"
 #include "dram/timing.h"
 
@@ -30,6 +32,48 @@ namespace hbmrd::dram {
 /// Ambient conditions shared by all banks of a stack; owned by the Stack.
 struct Environment {
   double temperature_c = 60.0;
+};
+
+class Bank;
+
+/// The device checkpoint ladder shared by all banks of a stack; owned by
+/// the Stack. A push records the mode registers and starts a new
+/// generation without touching any bank; a bank joins the top rung when
+/// it first changes afterwards (see Bank), so a restore rewinds only the
+/// banks that changed since the target rung.
+class CheckpointLadder {
+ public:
+  CheckpointLadder() = default;
+  CheckpointLadder(const CheckpointLadder&) = delete;
+  CheckpointLadder& operator=(const CheckpointLadder&) = delete;
+
+  /// Opens a rung and returns its index; every bank must be precharged.
+  std::size_t push(const ModeRegisters& modes);
+
+  /// Rewinds every bank that joined rung `index` or a younger one and
+  /// discards the younger rungs; `index` stays restorable. Returns the
+  /// mode registers recorded at its push.
+  const ModeRegisters& restore(std::size_t index);
+
+  /// Forgets all rungs without changing any bank.
+  void discard();
+
+  /// Unique per push and restore, never reused; 0 while the ladder is
+  /// empty. A bank whose join tag differs has not joined the top rung.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
+ private:
+  friend class Bank;
+
+  struct Join {
+    std::size_t rung;
+    Bank* bank;
+  };
+
+  std::vector<ModeRegisters> modes_;  // one per rung, oldest first
+  std::vector<Join> joins_;           // in join order: rungs never decrease
+  std::uint64_t generation_ = 0;
+  std::uint64_t generations_issued_ = 0;
 };
 
 /// Device-side event counters (diagnostics; benches report them).
@@ -95,8 +139,16 @@ class Bank {
   /// the summary bounds the work to a few cells and the word-parallel
   /// bitplane scan otherwise; both match the per-cell reference in
   /// tests/device_bitplane_test.cpp bit for bit.
+  ///
+  /// Checkpoints are copy-on-write: the first command that changes the
+  /// bank after a push on `ladder` (activate, precharge, write_column,
+  /// refresh, refresh_row, bulk_hammer) joins the top rung, capturing the
+  /// refresh pointer, timing checker and a clone of the defense, and a
+  /// row's pre-image is copied the first time it is touched afterwards:
+  /// O(rows touched since the push), never O(rows per bank). Like `env`,
+  /// `ladder` must outlive the bank, which must not move while on it.
   Bank(BankAddress address, const disturb::FaultModel* fault_model,
-       const Environment* env, TimingParams timing,
+       const Environment* env, CheckpointLadder* ladder, TimingParams timing,
        disturb::BankThresholdCache& threshold_cache);
 
   Bank(const Bank&) = delete;
@@ -144,47 +196,11 @@ class Bank {
   }
   [[nodiscard]] ReadDisturbDefense* defense() { return defense_.get(); }
 
-  // -- Dose checkpoints (copy-on-write) --------------------------------------
-  //
-  // A checkpoint captures the bank's device-visible state — row contents,
-  // dose ledgers, retention clocks, refresh pointer, timing-checker state,
-  // and a clone of the defense tracker — lazily: pushing a layer records
-  // nothing, and the pre-image of a row is copied the first time it is
-  // touched afterwards. Cost is O(rows touched since the push), never
-  // O(rows per bank). Used by the incremental HC search engine
-  // (src/study/ber_probe.*) to rewind a hammered row to a lower dose.
-
-  /// Opens a new checkpoint layer and returns its index. The bank must be
-  /// precharged and its defense (if any) checkpointable.
-  std::size_t push_checkpoint();
-
-  /// Rewinds the bank to the state captured by checkpoint `index` and
-  /// discards all younger checkpoints; `index` itself stays valid (it can
-  /// be restored again).
-  void restore_checkpoint(std::size_t index);
-
-  /// Forgets all checkpoints without changing the current state.
-  void discard_checkpoints();
-
-  [[nodiscard]] std::size_t checkpoint_depth() const {
-    return layers_.size();
-  }
-
-  /// False when the attached defense cannot be cloned (push would throw).
-  [[nodiscard]] bool checkpoint_supported() const {
-    return !defense_ || defense_->checkpointable();
-  }
-
   // -- Introspection / simulator-only helpers -------------------------------
 
   [[nodiscard]] bool is_open() const { return open_row_.has_value(); }
   [[nodiscard]] int open_row() const;
   [[nodiscard]] int refresh_pointer() const { return refresh_pointer_; }
-
-  /// Drops all per-row simulator state (contents revert to power-on).
-  /// Memory-reclaim hook for long sweeps; not a DRAM operation. Illegal
-  /// while checkpoints are active (the pre-images would dangle).
-  void drop_row_states();
 
   /// Number of rows currently carrying state.
   [[nodiscard]] std::size_t touched_rows() const {
@@ -213,19 +229,32 @@ class Bank {
     /// temperature (seconds); < 0 = not yet computed. Senses skip the
     /// retention scan entirely while the unrefreshed time stays below it.
     double min_retention_ref_s = -1.0;
-    /// Copy-on-write generation whose top layer already holds this row's
-    /// pre-image (0 = none); see cow_touch().
+    /// Ladder generation whose rung already holds this row's pre-image
+    /// (0 = none); see cow_touch().
     std::uint64_t cow_epoch = 0;
   };
 
-  /// One checkpoint: lazily collected row pre-images (nullopt = the row had
-  /// no state at push time) plus the bank scalars captured eagerly.
+  /// The bank's share of one rung: lazily collected row pre-images
+  /// (nullopt = the row had no state at the push) plus the scalars
+  /// captured when the bank joined.
   struct CheckpointLayer {
     std::unordered_map<int, std::optional<RowState>> pre;
     int refresh_pointer = 0;
     BankTimingChecker checker;
     std::unique_ptr<ReadDisturbDefense> defense;  // clone; null if none
   };
+
+  friend class CheckpointLadder;
+
+  /// Joins the ladder's top rung unless already joined; the first thing
+  /// every state-changing command does.
+  void join_ladder() {
+    if (joined_ != ladder_->generation()) [[unlikely]] join_top_rung();
+  }
+  void join_top_rung();
+
+  /// Rewinds the bank to its newest layer and drops that layer.
+  void restore_checkpoint();
 
   RowState& state(int physical_row, Cycle now);
   [[nodiscard]] RowState* find_state(int physical_row);
@@ -241,13 +270,13 @@ class Bank {
   /// Unindexes a row that has state; its node goes to the free list.
   void erase_row(int physical_row);
 
-  /// Records `rs`'s pre-image into the top checkpoint layer if it has not
-  /// been recorded since the layer became top. Called from every state
-  /// lookup, so each mutation site is covered by construction.
+  /// Records `rs`'s pre-image into the bank's layer of the top rung if it
+  /// has not been recorded since the bank joined it. Called from every
+  /// mutating state lookup, which only runs after join_ladder().
   void cow_touch(int physical_row, RowState& rs) {
-    if (layers_.empty() || rs.cow_epoch == cow_epoch_) return;
+    if (joined_ == 0 || rs.cow_epoch == joined_) return;
     layers_.back().pre.emplace(physical_row, rs);
-    rs.cow_epoch = cow_epoch_;
+    rs.cow_epoch = joined_;
   }
 
   /// Per-bank scratch arena: every per-sense/per-window buffer (candidate
@@ -303,6 +332,7 @@ class Bank {
   BankAddress address_;
   const disturb::FaultModel* fault_;
   const Environment* env_;
+  CheckpointLadder* ladder_;
   TimingParams timing_;
   BankTimingChecker checker_;
 
@@ -317,11 +347,11 @@ class Bank {
   std::unique_ptr<std::uint16_t[]> slot_of_row_;
   std::vector<std::unique_ptr<RowState>> row_nodes_;
   std::vector<std::uint16_t> free_slots_;
-  /// Active checkpoint ladder (oldest first) and the generation counter
-  /// that invalidates RowState::cow_epoch tags; bumped on every push and
-  /// restore so stale tags never suppress a needed pre-image copy.
+  /// The bank's layers of the rungs it joined (oldest first), and the
+  /// ladder generation it last joined (0 = none; a stale tag never
+  /// matches again, so it never suppresses a needed pre-image copy).
   std::vector<CheckpointLayer> layers_;
-  std::uint64_t cow_epoch_ = 0;
+  std::uint64_t joined_ = 0;
   std::unique_ptr<ReadDisturbDefense> defense_;
   BankCounters counters_;
   disturb::BankThresholdCache* threshold_cache_;  // never null

@@ -16,16 +16,10 @@ class ReadDisturbDefense {
  public:
   virtual ~ReadDisturbDefense() = default;
 
-  /// True when clone() returns a faithful deep copy of the tracker state.
-  /// The device checkpoint layer (Bank::push_checkpoint) refuses to
-  /// checkpoint a bank whose defense cannot be cloned, so sessions with
-  /// such defenses fall back to the from-scratch measurement path.
-  [[nodiscard]] virtual bool checkpointable() const { return false; }
-
-  /// Deep copy of the defense state, or null when unsupported.
-  [[nodiscard]] virtual std::unique_ptr<ReadDisturbDefense> clone() const {
-    return nullptr;
-  }
+  /// Faithful deep copy of the tracker state. A bank joining a device
+  /// checkpoint rung (CheckpointLadder, dram/bank.h) keeps one, and a
+  /// restore moves it back into the bank.
+  [[nodiscard]] virtual std::unique_ptr<ReadDisturbDefense> clone() const = 0;
 
   /// Called on every ACT to this bank (physical row index).
   virtual void on_activate(int physical_row, Cycle now) = 0;

@@ -21,7 +21,7 @@ Stack::Stack(StackConfig config)
     for (int pc = 0; pc < kPseudoChannels; ++pc) {
       for (int b = 0; b < kBanksPerPseudoChannel; ++b) {
         const BankAddress addr{ch, pc, b};
-        banks_.emplace_back(addr, &fault_, &env_, timing_,
+        banks_.emplace_back(addr, &fault_, &env_, &ladder_, timing_,
                             threshold_cache_->bank(addr, flat_index++));
         if (config.defense_factory) {
           banks_.back().set_defense(config.defense_factory(addr));
@@ -163,59 +163,12 @@ std::size_t Stack::push_checkpoint() {
     throw std::logic_error(
         "push_checkpoint: ECC parity is not checkpointed; disable ECC first");
   }
-  for (auto& bank : banks_) {
+  for (const auto& bank : banks_) {
     if (bank.is_open()) {
       throw std::logic_error("push_checkpoint: all banks must be precharged");
     }
   }
-  const std::size_t index = checkpoint_modes_.size();
-  for (auto& bank : banks_) {
-    const std::size_t got = bank.push_checkpoint();
-    if (got != index) {
-      throw std::logic_error("push_checkpoint: bank ladder out of lockstep");
-    }
-  }
-  checkpoint_modes_.push_back(mode_registers_);
-  return index;
-}
-
-void Stack::restore_checkpoint(std::size_t index) {
-  if (index >= checkpoint_modes_.size()) {
-    throw std::out_of_range("restore_checkpoint: no such checkpoint");
-  }
-  for (auto& bank : banks_) {
-    bank.restore_checkpoint(index);
-  }
-  mode_registers_ = checkpoint_modes_[index];
-  checkpoint_modes_.resize(index + 1);
-}
-
-void Stack::discard_checkpoints() {
-  for (auto& bank : banks_) {
-    bank.discard_checkpoints();
-  }
-  checkpoint_modes_.clear();
-}
-
-bool Stack::checkpoint_supported() const {
-  for (const auto& bank : banks_) {
-    if (!bank.checkpoint_supported()) return false;
-  }
-  return true;
-}
-
-void Stack::drop_row_states(const BankAddress& address) {
-  bank(address).drop_row_states();
-  // Drop the matching parity as well so a later ECC read does not decode
-  // stale parity against power-on contents.
-  const std::size_t index = bank_index(address);
-  for (auto it = parity_.begin(); it != parity_.end();) {
-    if (it->first.first == index) {
-      it = parity_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  return ladder_.push(mode_registers_);
 }
 
 }  // namespace hbmrd::dram

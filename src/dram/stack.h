@@ -73,26 +73,23 @@ class Stack {
                     std::span<const HammerStep> logical_steps,
                     std::uint64_t iterations, Cycle start);
 
-  // -- Dose checkpoints (copy-on-write; see Bank) ----------------------------
+  // -- Dose checkpoints (copy-on-write; see CheckpointLadder and Bank) -------
 
-  /// Opens one checkpoint layer on every bank (lockstep) and snapshots the
-  /// mode registers; returns the checkpoint index. Requires ECC disabled
-  /// (parity is not checkpointed) and every bank precharged.
+  /// Opens a rung on the stack's checkpoint ladder holding the mode
+  /// registers; returns the checkpoint index. Banks join the rung when they
+  /// first change, so the push does no per-bank work beyond checking that
+  /// every bank is precharged. Requires ECC disabled (parity is not
+  /// checkpointed).
   std::size_t push_checkpoint();
 
-  /// Rewinds every bank and the mode registers to checkpoint `index`;
-  /// younger checkpoints are discarded, `index` stays restorable.
-  void restore_checkpoint(std::size_t index);
-
-  /// Forgets all checkpoints without changing the current state.
-  void discard_checkpoints();
-
-  [[nodiscard]] std::size_t checkpoint_depth() const {
-    return checkpoint_modes_.size();
+  /// Rewinds the mode registers and every bank changed since checkpoint
+  /// `index`; younger checkpoints are discarded, `index` stays restorable.
+  void restore_checkpoint(std::size_t index) {
+    mode_registers_ = ladder_.restore(index);
   }
 
-  /// False when any bank's defense cannot be cloned.
-  [[nodiscard]] bool checkpoint_supported() const;
+  /// Forgets all checkpoints without changing the current state.
+  void discard_checkpoints() { ladder_.discard(); }
 
   // -- Environment -----------------------------------------------------------
 
@@ -111,9 +108,6 @@ class Stack {
     return ecc_counters_;
   }
 
-  /// Simulator-only memory reclaim: drops row state in one bank.
-  void drop_row_states(const BankAddress& address);
-
   /// Sum of all banks' device-side event counters.
   [[nodiscard]] BankCounters total_counters() const;
 
@@ -126,10 +120,8 @@ class Stack {
   TimingParams timing_;
   Environment env_;
   ModeRegisters mode_registers_;
+  CheckpointLadder ladder_;  // handed to every bank, like env_
   std::vector<Bank> banks_;
-  /// Mode-register snapshots, one per active checkpoint (bank layers are
-  /// kept in lockstep, so this doubles as the ladder depth).
-  std::vector<ModeRegisters> checkpoint_modes_;
 
   // Sideband ECC parity, stored per (bank, logical row) when ECC is on.
   // 8 parity bits per 64-bit data word; see src/ecc/. Parity cells are not

@@ -645,7 +645,9 @@ void SupervisorRun::finish(SupervisorReport& report) {
   }
 
   // Load the canonical rows back so the supervisor's CampaignReport reads
-  // like the unsharded runner's.
+  // like the unsharded runner's: a row committed before this run is
+  // resumed (whatever its status), any other row completed or quarantined.
+  // The merge checked that the shards tile the campaign: row i is trial i.
   const auto cp = load_checkpoint(*store_, campaign_.results_path,
                                   disk_width_);
   for (std::size_t i = 0; i < cp.lines.size(); ++i) {
@@ -655,7 +657,12 @@ void SupervisorRun::finish(SupervisorReport& report) {
     for (std::size_t c = 2; c + 1 < cells.size(); ++c) {
       record.cells.emplace_back(cells[c]);
     }
-    if (cells.size() > 1 && cells[1] == "quarantined") {
+    const bool quarantined = cells.size() > 1 && cells[1] == "quarantined";
+    if (i < seen_.size() && seen_[i] == Seen::kAtStart) {
+      record.status = quarantined ? TrialStatus::kQuarantined
+                                  : TrialStatus::kOkResumed;
+      ++report.campaign.resumed;
+    } else if (quarantined) {
       record.status = TrialStatus::kQuarantined;
       ++report.campaign.quarantined;
     } else {
@@ -749,6 +756,11 @@ SupervisorReport Supervisor::run(
   }
   if (config_.shards == 0) {
     throw std::invalid_argument("supervisor: shards must be >= 1");
+  }
+  if (campaign_.stop_after_trials != 0) {
+    throw std::invalid_argument(
+        "supervisor: stop_after_trials is serial-only; stop a sharded "
+        "campaign with SIGTERM");
   }
   SupervisorRun state(chip_, campaign_, config_, trials);
   return state.run();

@@ -110,7 +110,8 @@ class Supervisor {
              SupervisorConfig config);
 
   /// Partitions, supervises, merges. Throws std::invalid_argument on a
-  /// config error (no results_path, zero shards); storage errors from the
+  /// config error (no results_path, zero shards, a stop_after_trials
+  /// budget: a sharded campaign stops on SIGTERM); storage errors from the
   /// merge propagate as StoreError.
   SupervisorReport run(const std::vector<CampaignRunner::Trial>& trials);
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "dram/defense.h"
@@ -33,6 +34,10 @@ class CounterTrr final : public dram::ReadDisturbDefense {
   void on_activate_bulk(int physical_row, std::uint64_t count,
                         dram::Cycle now) override;
   std::vector<int> on_refresh(dram::Cycle now) override;
+  [[nodiscard]] std::unique_ptr<dram::ReadDisturbDefense> clone()
+      const override {
+    return std::make_unique<CounterTrr>(*this);
+  }
 
   [[nodiscard]] const CounterTrrParams& params() const { return p_; }
   [[nodiscard]] const std::map<int, std::uint64_t>& counters() const {

@@ -46,7 +46,6 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
 
   // All tracker state (window counts, sampler, latches, pending queue) is
   // plain copyable data, so the device checkpoint layer can snapshot it.
-  [[nodiscard]] bool checkpointable() const override { return true; }
   [[nodiscard]] std::unique_ptr<dram::ReadDisturbDefense> clone()
       const override {
     return std::make_unique<UndocumentedTrr>(*this);
@@ -68,9 +67,9 @@ class UndocumentedTrr final : public dram::ReadDisturbDefense {
 
   // All containers below are flat vectors, bounded by the handful of
   // distinct rows a refresh window sees (window_counts_) or the small
-  // sampler/pending capacities. Flat storage keeps clone() — called for
-  // every bank at every device-checkpoint push — allocation-free for idle
-  // banks, where the hot path would otherwise copy empty node containers.
+  // sampler/pending capacities. Flat storage keeps clone() — called each
+  // time a bank joins a device-checkpoint rung — cheap for small trackers,
+  // where node containers would allocate per entry.
 
   // Window state since the previous REF (any REF, Obsv. 27).
   std::vector<std::pair<int, std::uint64_t>> window_counts_;

@@ -252,7 +252,8 @@ struct CheckedBank {
   Environment env{60.0};
   TimingParams timing{};
   disturb::BankThresholdCache cache{kAddr, 16};
-  Bank bank{kAddr, &fault, &env, timing, cache};
+  CheckpointLadder ladder;
+  Bank bank{kAddr, &fault, &env, &ladder, timing, cache};
   Cycle now = 1000;
   /// Cells the reference sense flipped across every checked read.
   std::uint64_t reference_flips = 0;
@@ -381,7 +382,7 @@ TEST(BitplaneDifferential, CheckpointRestoreMatchesReference) {
   q.write_row(victim, RowBits::filled(0x55));
   q.write_row(victim - 1, RowBits::filled(0xAA));
   q.write_row(victim + 1, RowBits::filled(0xAA));
-  ASSERT_EQ(q.bank.push_checkpoint(), 0u);
+  ASSERT_EQ(q.ladder.push({}), 0u);
   const std::array<HammerStep, 2> steps = {
       HammerStep{victim - 1, q.timing.t_ras},
       HammerStep{victim + 1, q.timing.t_ras}};
@@ -389,12 +390,12 @@ TEST(BitplaneDifferential, CheckpointRestoreMatchesReference) {
     const std::uint64_t count = 20000 + rng.next_u64() % 150000;
     q.hammer(steps, count);
     (void)q.read_row_checked(victim);
-    q.bank.restore_checkpoint(0);
+    q.ladder.restore(0);
     // Restored state must also sense as the reference predicts.
     q.write_row(victim - 1, RowBits::filled(0xAA));
     q.write_row(victim + 1, RowBits::filled(0xAA));
   }
-  q.bank.discard_checkpoints();
+  q.ladder.discard();
 }
 
 TEST(BitplaneDifferential, DoseMemoRingEvictsInsteadOfThrashing) {

@@ -29,7 +29,8 @@ struct TestBank {
   Environment env{60.0};
   TimingParams timing{};
   disturb::BankThresholdCache cache{kAddr, 16};
-  Bank bank{kAddr, &fault, &env, timing, cache};
+  CheckpointLadder ladder;
+  Bank bank{kAddr, &fault, &env, &ladder, timing, cache};
   Cycle now = 1000;
 
   void write_row(int row, const RowBits& bits) {
@@ -257,6 +258,9 @@ class CountingDefense : public ReadDisturbDefense {
     ++refreshes;
     return victims_to_refresh;
   }
+  std::unique_ptr<ReadDisturbDefense> clone() const override {
+    return std::make_unique<CountingDefense>(*this);
+  }
 
   std::uint64_t activations = 0;
   int refreshes = 0;
@@ -366,16 +370,6 @@ TEST(Bank, CountersTrackDeviceEvents) {
   EXPECT_GT(t.bank.counters().bitflips_materialized, before);
 }
 
-TEST(Bank, DropRowStatesReclaimsMemory) {
-  TestBank t;
-  t.write_row(100, RowBits::filled(0xFF));
-  EXPECT_GT(t.bank.touched_rows(), 0u);
-  t.bank.drop_row_states();
-  EXPECT_EQ(t.bank.touched_rows(), 0u);
-  // Contents revert to power-on garbage.
-  EXPECT_NE(t.read_row(100), RowBits::filled(0xFF));
-}
-
 TEST(Bank, NeighbourStateStaysInsideTheSubarray) {
   // Aggressors at both bank ends and at both edges of subarray boundaries
   // (0|1 at row 832, 9|10 at row 7744): victim state only on this side.
@@ -458,13 +452,13 @@ TEST(Bank, RowsErasedByRestoreAndTouchedAgainMatchAFreshBank) {
   setup(restored);
   setup(fresh);
   const std::size_t touched_at_push = fresh.bank.touched_rows();
-  const std::size_t checkpoint = restored.bank.push_checkpoint();
+  const std::size_t checkpoint = restored.ladder.push({});
   restored.write_row(1002, RowBits::filled(0x0F));
   restored.hammer(2001, 5000);
   restored.hammer(kVictim, 3000);
   ASSERT_GT(restored.bank.touched_rows(), touched_at_push + 10);
-  restored.bank.restore_checkpoint(checkpoint);
-  restored.bank.discard_checkpoints();
+  restored.ladder.restore(checkpoint);
+  restored.ladder.discard();
   EXPECT_EQ(restored.bank.touched_rows(), touched_at_push);
 
   restored.now = fresh.now = std::max(restored.now, fresh.now);
@@ -483,23 +477,6 @@ TEST(Bank, RowsErasedByRestoreAndTouchedAgainMatchAFreshBank) {
       expect_same_row(restored.bank, fresh.bank, row);
     }
   }
-}
-
-TEST(Bank, DropRowStatesEmptiesTheIndex) {
-  TestBank t;
-  t.write_row(100, RowBits::filled(0xFF));
-  const std::size_t checkpoint = t.bank.push_checkpoint();
-  t.write_row(500, RowBits::filled(0xFF));
-  t.bank.restore_checkpoint(checkpoint);  // rows 498..502 go to free slots
-  t.bank.discard_checkpoints();
-  EXPECT_EQ(t.bank.touched_rows(), 5u);  // row 100 and its four victims
-  t.bank.drop_row_states();
-  EXPECT_EQ(t.bank.touched_rows(), 0u);
-  EXPECT_EQ(t.bank.ledger(101), nullptr);
-  EXPECT_EQ(t.bank.stored_bits(100), nullptr);
-  t.write_row(500, RowBits::filled(0xFF));
-  EXPECT_EQ(t.bank.touched_rows(), 5u);
-  EXPECT_EQ(t.bank.ledger(100), nullptr);
 }
 
 TEST(Bank, DiagnosticAccessorsRejectRowsOutsideTheBank) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bender/platform.h"
+#include "runner/checkpoint.h"
 #include "runner/fsck.h"
 #include "runner/merge.h"
 #include "runner/shard.h"
@@ -500,6 +501,137 @@ TEST(SupervisorTest, RepeatedCrashQuarantinesThenOperatorResumeClears) {
   EXPECT_EQ(report.campaign.tallies_missing, 0u);
   EXPECT_EQ(slurp(config.results_path), golden.csv);
   EXPECT_EQ(slurp(config.journal_path), golden.journal);
+}
+
+/// Rows the shard stores hold: what a sharded --resume finds committed.
+std::uint64_t committed_shard_rows(const RunnerConfig& config) {
+  auto store = util::default_store();
+  const auto index =
+      ShardSet::parse(slurp(shard_index_path(config.results_path)));
+  EXPECT_TRUE(index.has_value());
+  std::uint64_t rows = 0;
+  for (const auto& spec : index ? index->shards : std::vector<ShardSpec>{}) {
+    rows += load_checkpoint(*store,
+                            shard_artifact_path(config.results_path, spec.id),
+                            kColumns.size() + 3)
+                .lines.size();
+  }
+  return rows;
+}
+
+/// The serial `--resume` report of a campaign whose first `committed`
+/// trials were committed by an earlier run (all of them when 0).
+CampaignReport serial_resume(const std::string& tag,
+                             const std::vector<CampaignRunner::Trial>& trials,
+                             const fault::FaultPlanConfig& faults,
+                             std::uint64_t committed) {
+  auto config = base_config(tag);
+  config.faults = faults;
+  clear_artifacts(config, 0);
+  config.stop_after_trials = committed;
+  {
+    auto chip = fresh_chip();
+    CampaignRunner(chip, config).run(trials);
+  }
+  config.stop_after_trials = 0;
+  config.resume = true;
+  auto chip = fresh_chip();
+  return CampaignRunner(chip, config).run(trials);
+}
+
+void expect_same_counts(const CampaignReport& got, const CampaignReport& want,
+                        const std::string& tag) {
+  EXPECT_FALSE(got.aborted) << tag << ": " << got.abort_reason;
+  EXPECT_EQ(got.completed, want.completed) << tag;
+  EXPECT_EQ(got.resumed, want.resumed) << tag;
+  EXPECT_EQ(got.quarantined, want.quarantined) << tag;
+  EXPECT_EQ(got.records.size(), want.records.size()) << tag;
+}
+
+TEST(SupervisorTest, ResumeOfAFinishedShardSetReportsResumedLikeSerial) {
+  reset_graceful_stop();
+  const auto trials = make_trials(12);
+  fault::FaultPlanConfig faults;
+  faults.persistent_rate = 0.25;
+  const auto golden = golden_run("resume_done_golden", trials, faults);
+  ASSERT_GT(golden.report.quarantined, 0u);
+  const auto serial = serial_resume("resume_done_serial", trials, faults, 0);
+  ASSERT_EQ(serial.resumed, 12u);
+  for (const auto shards : kShardCounts) {
+    const auto tag = "resume_done_s" + std::to_string(shards);
+    auto config = base_config(tag);
+    config.faults = faults;
+    clear_artifacts(config, shards);
+    {
+      auto chip = fresh_chip();
+      const auto first =
+          Supervisor(chip, config, counted_supervision(shards)).run(trials);
+      ASSERT_FALSE(first.campaign.aborted) << first.campaign.abort_reason;
+      EXPECT_EQ(first.campaign.completed, golden.report.completed) << tag;
+      EXPECT_EQ(first.campaign.quarantined, golden.report.quarantined) << tag;
+    }
+    config.resume = true;
+    auto chip = fresh_chip();
+    const auto report =
+        Supervisor(chip, config, counted_supervision(shards)).run(trials);
+    EXPECT_EQ(report.spawns, 0u) << tag;
+    expect_same_counts(report.campaign, serial, tag);
+    ASSERT_EQ(report.campaign.records.size(), serial.records.size()) << tag;
+    for (std::size_t i = 0; i < serial.records.size(); ++i) {
+      EXPECT_EQ(report.campaign.records[i].status, serial.records[i].status)
+          << tag << " record " << i;
+    }
+    EXPECT_EQ(slurp(config.results_path), golden.csv) << tag;
+  }
+}
+
+TEST(SupervisorTest, ResumeAfterAQuarantinedCrashCountsLikeSerial) {
+  reset_graceful_stop();
+  const auto trials = make_trials(12);
+  const auto golden = golden_run("resume_crash_golden", trials);
+  for (const auto shards : kShardCounts) {
+    const auto tag = "resume_crash_s" + std::to_string(shards);
+    auto config = base_config(tag);
+    // The crash refires in every incarnation, so the shard owning trial 5
+    // is quarantined with trials 1..4 of the campaign's prefix committed.
+    config.faults.worker.crash_at_trial = 5;
+    config.faults.worker.repeat_incarnations = 99;
+    clear_artifacts(config, shards);
+    auto supervision = counted_supervision(shards);
+    supervision.max_restarts = 2;
+    {
+      auto chip = fresh_chip();
+      const auto first = Supervisor(chip, config, supervision).run(trials);
+      ASSERT_TRUE(first.campaign.aborted) << tag;
+      ASSERT_EQ(first.shards_quarantined, 1u) << tag;
+    }
+    const auto committed = committed_shard_rows(config);
+    ASSERT_GE(committed, 4u) << tag;
+    ASSERT_LT(committed, 12u) << tag;
+    const auto serial = serial_resume(tag + "_serial", trials, {}, committed);
+
+    config.faults.worker = {};
+    config.resume = true;
+    auto chip = fresh_chip();
+    const auto report = Supervisor(chip, config, supervision).run(trials);
+    expect_same_counts(report.campaign, serial, tag);
+    EXPECT_EQ(report.campaign.resumed, committed) << tag;
+    EXPECT_EQ(slurp(config.results_path), golden.csv) << tag;
+    EXPECT_EQ(slurp(config.journal_path), golden.journal) << tag;
+  }
+}
+
+TEST(SupervisorTest, StopAfterIsRefusedBeforeAnyTrialRuns) {
+  reset_graceful_stop();
+  auto config = base_config("stop_after");
+  config.stop_after_trials = 3;
+  clear_artifacts(config, 2);
+  auto chip = fresh_chip();
+  Supervisor supervisor(chip, config, counted_supervision(2));
+  EXPECT_THROW(supervisor.run(make_trials(8)), std::invalid_argument);
+  auto store = util::default_store();
+  EXPECT_FALSE(store->read(shard_index_path(config.results_path)));
+  EXPECT_FALSE(store->read(shard_artifact_path(config.results_path, 0)));
 }
 
 /// Delegating store that fails the first atomic_replace of one path —
